@@ -6,6 +6,8 @@ except 1; ``tube`` covers the weight-1 tubes; ``orbit`` covers the negative
 Calabi-Yau orbit categories of type A together with their polygon model.
 """
 
+from types import ModuleType as _ModuleType
+
 from .arcs import (
     Arc,
     QuiverCoord,
@@ -83,7 +85,6 @@ from .orbit import (
     IntervalObject,
     MDiagonal,
     OrbitCategory,
-    db_functor,
     db_hom_dim,
     db_serre,
     db_suspend,
@@ -100,5 +101,8 @@ from .tube import (
     t1_hom_dim,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

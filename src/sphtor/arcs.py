@@ -189,9 +189,10 @@ class Relation(NamedTuple):
     shared_vertex: Optional[int] = None
 
 
-def _crossing(a: Arc, b: Arc) -> bool:
-    lo1, hi1 = sorted(a.vertices)
-    lo2, hi2 = sorted(b.vertices)
+def _crossing_ints(at: int, au: int, bt: int, bu: int) -> bool:
+    """Whether the arcs on {at, au} and {bt, bu} cross (no shared endpoint)."""
+    lo1, hi1 = (at, au) if at < au else (au, at)
+    lo2, hi2 = (bt, bu) if bt < bu else (bu, bt)
     return lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1
 
 
@@ -202,7 +203,7 @@ def relation(a: Arc, b: Arc) -> Relation:
     distance = min(g for g, _, _ in gaps)
     if a == b:
         return Relation(RelationKind.EQUAL, 0)
-    if _crossing(a, b):
+    if _crossing_ints(a.t, a.u, b.t, b.u):
         return Relation(RelationKind.CROSSING, distance)
     if distance == 0:
         if w == 0 and not a.is_loop and not b.is_loop:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 on domain errors (bad mathematical input),
-64 on usage errors.  Machine output (--format json) is stable-ordered and a
+64 on usage errors (bad options, unreadable or malformed input files).
+Machine output (--format json) is stable-ordered and a
 pure function of the inputs.
 """
 
@@ -47,8 +48,9 @@ class UsageError(Exception):
 class Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let values like "-2,0" or "-3" through as arguments, not option names
-        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
+        # let values like "-3", "-2,0" or "-5,4;-4,5" through as arguments,
+        # not option names
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*(;\s*-?\d+(,-?\d+)*)*;?$")
 
     def error(self, message):  # exit 64 instead of argparse's default 2
         raise UsageError(message)
@@ -64,19 +66,51 @@ def _pair(text: str) -> tuple:
         raise UsageError(f"expected integers in {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _tube_object(text: str) -> TubeObject:
+    shift, level = _pair(text)
+    if level < 0:
+        raise UsageError(f"tube levels must be nonnegative, got {text!r}")
+    return TubeObject(shift, level)
+
+
+def _read_document(path: str, decode):
+    """Decode a JSON input file; unreadable or malformed files are usage errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise UsageError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return decode(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path} is not a valid document: {exc!r}") from None
+
+
 def _arc_list(w: int, text: str) -> list:
     if not text.strip():
         return []
     return [arc(w, *_pair(chunk)) for chunk in text.split(";") if chunk.strip()]
 
 
+def _diag(text: str) -> MDiagonal:
+    i, j = _pair(text)
+    return MDiagonal(min(i, j), max(i, j))
+
+
 def _diag_list(text: str) -> List[MDiagonal]:
-    out = []
-    for chunk in text.split(";"):
-        if chunk.strip():
-            i, j = _pair(chunk)
-            out.append(MDiagonal(min(i, j), max(i, j)))
-    return out
+    return [_diag(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
 def _emit(args, text: str, payload) -> None:
@@ -92,12 +126,28 @@ def _arc_json(a) -> list:
     return [a.t, a.u]
 
 
+def _add_global_flags(parser: Parser, top: bool) -> None:
+    """Add --format/--out/--window, with their defaults on the top parser only.
+
+    Every subparser repeats these flags; its copies default to SUPPRESS, so
+    they never reset a flag given before the subcommand.
+    """
+
+    def default(value):
+        return value if top else argparse.SUPPRESS
+
+    parser.add_argument("--format", choices=("text", "json"), default=default("text"))
+    parser.add_argument("--out", default=default(None),
+                        help="write output to a file instead of stdout")
+    parser.add_argument("--window", type=_positive_int, default=default(None),
+                        help="report window radius")
+
+
 def build_parser() -> Parser:
     common = Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    common.add_argument("--window", type=int, default=None, help="report window radius")
-    p = Parser(prog="sphtor", description=__doc__, parents=[common])
+    _add_global_flags(common, top=False)
+    p = Parser(prog="sphtor", description=__doc__)
+    _add_global_flags(p, top=True)
     sub = p.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     def add_parser(owner, name, **kw):
@@ -178,8 +228,7 @@ def build_parser() -> Parser:
 def _run_t1(args) -> None:
     if args.t1_command == "classify":
         if args.infile:
-            with open(args.infile, encoding="utf-8") as fh:
-                desc = T1Descriptor.from_json_dict(json.load(fh))
+            desc = _read_document(args.infile, T1Descriptor.from_json_dict)
         elif args.pattern == "upper":
             if args.n is None:
                 raise UsageError("upper pattern requires --n")
@@ -191,11 +240,13 @@ def _run_t1(args) -> None:
         verdict = t1_classify(desc)
         _emit(args, str(verdict), {"verdict": verdict.kind, "n": verdict.n})
     elif args.t1_command == "hom":
-        a, b = TubeObject(*_pair(args.a)), TubeObject(*_pair(args.b))
+        a, b = _tube_object(args.a), _tube_object(args.b)
         dim = t1_hom_dim(a, b)
         _emit(args, str(dim), {"dim": dim})
     else:
-        target = TubeObject(*_pair(args.target))
+        if args.r < 0:
+            raise UsageError(f"tube levels must be nonnegative, got --r {args.r}")
+        target = _tube_object(args.target)
         fams = t1_extensions(args.r, target)
         text = "\n".join(
             " + ".join(f"X_{x.level}@{x.shift}" for x in fam) if fam else "0"
@@ -227,8 +278,7 @@ def _run_orbit(args) -> None:
         _emit(args, text, payload)
         return
     if cmd in ("hom", "ext", "middle"):
-        da, db = _diag_list(args.a)[0], _diag_list(args.b)[0]
-        xa, xb = cat.from_diagonal(da), cat.from_diagonal(db)
+        xa, xb = cat.from_diagonal(_diag(args.a)), cat.from_diagonal(_diag(args.b))
         if cmd == "hom":
             dim = cat.hom_dim(xa, xb)
             _emit(args, str(dim), {"dim": dim})
@@ -275,7 +325,11 @@ def _run_render(args) -> None:
     if args.diagonals is not None:
         if args.n is None or args.m is None:
             raise UsageError("polygon rendering requires --n and --m")
-        svg = svg_polygon_diagram(args.n, args.m, _diag_list(args.diagonals))
+        diagonals = _diag_list(args.diagonals)
+        cat = OrbitCategory(args.n, args.m)
+        for d in diagonals:
+            cat.from_diagonal(d)  # ParamsMismatch unless d is an m-diagonal
+        svg = svg_polygon_diagram(args.n, args.m, diagonals)
     else:
         if args.w is None or args.arcs is None:
             raise UsageError("arc rendering requires --w and --arcs")
@@ -344,9 +398,11 @@ def run(argv: Sequence[str]) -> int:
             _emit(args, " ".join(map(str, closed)) or "(empty)",
                   {"w": args.w, "arcs": [_arc_json(m) for m in closed]})
         elif args.command == "torsion":
-            with open(args.infile, encoding="utf-8") as fh:
-                ds = DescriptorSet.from_json_dict(json.load(fh))
-            window = args.window if args.window is not None else report_window()
+            ds = _read_document(args.infile, DescriptorSet.from_json_dict)
+            try:
+                window = args.window if args.window is not None else report_window()
+            except ValueError as exc:  # a bad SPHTOR_WINDOW
+                raise UsageError(str(exc)) from None
             rep = is_torsion_class(ds, window=window)
             text = rep.verdict.value
             if rep.witness_pair:

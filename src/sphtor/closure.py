@@ -1,7 +1,11 @@
 """Extension closure, fountains, and torsion-class verdicts.
 
-Finite arc sets close under connector arcs without leaving their own
-endpoint set, so the fixpoint is finite and cheap.  Infinite subcategories
+This module owns the package's one pair-closure engine, ``_close``: the
+least set closed under a symmetric pair rule.  The arc closures feed it
+connector arcs or extension middle terms, and
+:meth:`sphtor.orbit.OrbitCategory.closure` feeds it orbit-category middle
+terms.  Finite arc sets close without leaving their own endpoint set, so
+the fixpoint is finite and cheap.  Infinite subcategories
 are presented by :class:`DescriptorSet` (finite arcs plus partial-fountain
 generators); their closure is computed on instantiation windows and promoted
 back to fountain form, with a window-doubling stability check guarding the
@@ -12,7 +16,8 @@ from __future__ import annotations
 
 import os
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from itertools import combinations_with_replacement
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .arcs import Arc, arc, arcs_in_window, is_admissible, to_coord, translation_step
 from .errors import InvalidArc, NonConvergence, WeightMismatch
@@ -36,26 +41,38 @@ def report_window() -> int:
     return value
 
 
-def _close(w: int, arcs_in: Iterable[Arc], pair_arcs) -> FrozenSet[Arc]:
-    current: Set[Arc] = set(arcs_in)
-    for a in current:
-        if a.w != w:
-            raise WeightMismatch(f"arc {a} does not carry weight {w}")
-    queue: List[Tuple[Arc, Arc]] = [(a, b) for a in current for b in current if a <= b]
+def _close(seed: Iterable, pair_rule: Callable[..., Iterable]) -> FrozenSet:
+    """Least superset of ``seed`` closed under a symmetric pair rule.
+
+    The one pair-closure engine of the package: every pair of members,
+    including each member with itself, is fed to ``pair_rule`` once, and
+    whatever it returns joins the set and is paired with all members.
+    """
+    members = set(seed)
+    queue = list(combinations_with_replacement(members, 2))
     while queue:
         a, b = queue.pop()
-        for m in pair_arcs(a, b):
-            if m not in current:
-                queue.extend((m, c) for c in current)
+        for m in pair_rule(a, b):
+            if m not in members:
+                queue.extend((m, c) for c in members)
                 queue.append((m, m))
-                current.add(m)
-    return frozenset(current)
+                members.add(m)
+    return frozenset(members)
+
+
+def _weighted(w: int, arcs_in: Iterable[Arc]) -> Set[Arc]:
+    """The arcs as a set, once ``w`` and the weight of every arc are checked."""
+    translation_step(w)
+    seed = set(arcs_in)
+    for a in seed:
+        if a.w != w:
+            raise WeightMismatch(f"arc {a} does not carry weight {w}")
+    return seed
 
 
 def ptolemy_closure(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
     """Least fixpoint of adding admissible connector arcs over all pairs."""
-    translation_step(w)
-    return _close(w, arcs_in, lambda a, b: ptolemy_arcs(a, b).all)
+    return _close(_weighted(w, arcs_in), lambda a, b: ptolemy_arcs(a, b).all)
 
 
 def extension_closure_oracle(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
@@ -64,8 +81,7 @@ def extension_closure_oracle(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
     Independent of the connector-arc code path; the two closures agreeing is
     the arc-level statement of the extension-closure theorems.
     """
-    translation_step(w)
-    return _close(w, arcs_in, e_set)
+    return _close(_weighted(w, arcs_in), e_set)
 
 
 class FountainSide(Enum):
@@ -133,12 +149,7 @@ class DescriptorSet:
             if f.side is FountainSide.LEFT and f.start >= f.vertex:
                 raise InvalidArc("left fountain must start strictly left of its vertex")
             fset.add(f)
-        aset = set()
-        for a in arcs_in:
-            if a.w != w:
-                raise WeightMismatch(f"arc {a} does not carry weight {w}")
-            if not any(f.covers(w, a) for f in fset):
-                aset.add(a)
+        aset = {a for a in _weighted(w, arcs_in) if not any(f.covers(w, a) for f in fset)}
         self.w = w
         self.arcs = frozenset(aset)
         self.fountains = frozenset(fset)
@@ -243,8 +254,13 @@ def _closure_at_window(ds: DescriptorSet, radius: int) -> DescriptorSet:
     return _promote(ds.w, closed, lo, hi)
 
 
-def _fountain_signature(ds: DescriptorSet, lo: int, hi: int) -> FrozenSet[Tuple[int, FountainSide]]:
-    return frozenset((f.vertex, f.side) for f in ds.fountains if lo <= f.vertex <= hi)
+def _agree(x: DescriptorSet, y: DescriptorSet, lo: int, hi: int) -> bool:
+    """Same arcs and the same fountain (vertex, side) pairs inside [lo, hi]."""
+
+    def signature(ds: DescriptorSet) -> Set[Tuple[int, FountainSide]]:
+        return {(f.vertex, f.side) for f in ds.fountains if lo <= f.vertex <= hi}
+
+    return x.same_arcs(y, lo, hi) and signature(x) == signature(y)
 
 
 def symbolic_closure(
@@ -278,14 +294,21 @@ def symbolic_closure(
     for _ in range(max_doublings):
         small = run(radius)
         big = run(2 * radius)
-        inner_lo, inner_hi = lo0 - radius // 2, hi0 + radius // 2
-        if small.same_arcs(big, inner_lo, inner_hi) and _fountain_signature(
-            small, inner_lo, inner_hi
-        ) == _fountain_signature(big, inner_lo, inner_hi):
+        if _agree(small, big, lo0 - radius // 2, hi0 + radius // 2):
             return big
         radius *= 2
     raise NonConvergence(
         f"descriptor closure did not stabilize after {max_doublings} window doublings"
+    )
+
+
+def _unmatched_fountain(ds: DescriptorSet) -> Optional[FountainDescriptor]:
+    """The least wrong-sided fountain with no mirror at its vertex, or None."""
+    wrong = FountainSide.RIGHT if ds.w >= 2 else FountainSide.LEFT
+    mirrored = {f.vertex for f in ds.fountains if f.side is not wrong}
+    return min(
+        (f for f in ds.fountains if f.side is wrong and f.vertex not in mirrored),
+        default=None,
     )
 
 
@@ -297,20 +320,7 @@ def is_contravariantly_finite(ds: DescriptorSet) -> bool:
     Finite sets pass vacuously.
     """
     translation_step(ds.w)
-    have = {(f.vertex, f.side) for f in ds.fountains}
-    if ds.w >= 2:
-        need = [
-            (v, FountainSide.LEFT)
-            for v, s in have
-            if s is FountainSide.RIGHT
-        ]
-    else:
-        need = [
-            (v, FountainSide.RIGHT)
-            for v, s in have
-            if s is FountainSide.LEFT
-        ]
-    return all(pair in have for pair in need)
+    return _unmatched_fountain(ds) is None
 
 
 class Verdict(Enum):
@@ -375,10 +385,7 @@ def is_torsion_class(ds: DescriptorSet, window: Optional[int] = None) -> Torsion
         else ""
     )
     closed = symbolic_closure(ds, min_radius=radius)
-    if not (
-        closed.same_arcs(ds, lo, hi)
-        and _fountain_signature(closed, lo, hi) == _fountain_signature(ds, lo, hi)
-    ):
+    if not _agree(closed, ds, lo, hi):
         pair, missing = _closedness_witness(ds, closed, lo, hi)
         if pair is None:
             # new content only at fountain level: surface the first new fountain
@@ -392,18 +399,8 @@ def is_torsion_class(ds: DescriptorSet, window: Optional[int] = None) -> Torsion
         return TorsionReport(
             Verdict.NOT_CLOSED, closed, witness_pair=pair, missing_arc=missing, note=note
         )
-    if not is_contravariantly_finite(ds):
-        have = {(f.vertex, f.side) for f in ds.fountains}
-        if ds.w >= 2:
-            bad = next(
-                f for f in sorted(ds.fountains)
-                if f.side is FountainSide.RIGHT and (f.vertex, FountainSide.LEFT) not in have
-            )
-        else:
-            bad = next(
-                f for f in sorted(ds.fountains)
-                if f.side is FountainSide.LEFT and (f.vertex, FountainSide.RIGHT) not in have
-            )
+    bad = _unmatched_fountain(ds)
+    if bad is not None:
         return TorsionReport(
             Verdict.NOT_CONTRAVARIANTLY_FINITE, closed, witness_fountain=bad, note=note
         )

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, Tuple
 
 from .arcs import (
     Arc,
+    _crossing_ints,
     require_same_weight,
     suspend,
     to_coord,
@@ -154,12 +155,6 @@ def _in_interior_ints(w: int, at: int, au: int, v: int, drop_last: bool) -> bool
     if drop_last and i == k:
         return False
     return 1 <= i <= k
-
-
-def _crossing_ints(at: int, au: int, bt: int, bu: int) -> bool:
-    lo1, hi1 = (at, au) if at < au else (au, at)
-    lo2, hi2 = (bt, bu) if bt < bu else (bu, bt)
-    return lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1
 
 
 def _neighbour_incidence_ints(at: int, au: int, bt: int, bu: int) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
+from .closure import _close
 from .errors import NoExtension, ParamsMismatch, TooLarge, ValidationFailure
 
 
@@ -74,20 +75,6 @@ def db_translate_inv(n: int, x: IntervalObject) -> IntervalObject:
 
 def db_serre(n: int, x: IntervalObject) -> IntervalObject:
     return db_suspend(db_translate(n, x))
-
-
-def db_functor(name: str, n: int, x: IntervalObject) -> IntervalObject:
-    table = {
-        "sigma": lambda: db_suspend(x),
-        "suspend": lambda: db_suspend(x),
-        "tau": lambda: db_translate(n, x),
-        "translate": lambda: db_translate(n, x),
-        "serre": lambda: db_serre(n, x),
-    }
-    try:
-        return table[name.lower()]()
-    except KeyError:
-        raise ValueError(f"unknown functor {name!r}") from None
 
 
 def _circular_in_order(N: int, *vertices: int) -> bool:
@@ -330,15 +317,8 @@ class OrbitCategory:
             return False
         if {da.i, da.j} & {db.i, db.j}:
             return False
-        succ1, succ2 = self._wrap(a1 + 1), self._wrap(a2 + 1)
-        if not (succ1 in (db.i, db.j) or succ2 in (db.i, db.j)):
-            return False
-        dist = min(
-            min((p - q) % self.N, (q - p) % self.N)
-            for p in (da.i, da.j)
-            for q in (db.i, db.j)
-        )
-        return dist == 1
+        # with no shared vertex, touching a successor is circular distance 1
+        return self._wrap(a1 + 1) in (db.i, db.j) or self._wrap(a2 + 1) in (db.i, db.j)
 
     def _in_open_arc(self, x: int, p: int, q: int) -> bool:
         return 0 < (x - p) % self.N < (q - p) % self.N
@@ -368,12 +348,8 @@ class OrbitCategory:
             return frozenset(out)
         if {da.i, da.j} & {db.i, db.j}:
             return frozenset()
-        pairs = [(p, q) for p in (da.i, da.j) for q in (db.i, db.j)]
-        dist = min(min((p - q) % self.N, (q - p) % self.N) for p, q in pairs)
-        if dist != 1:
-            return frozenset()
         endpoints = [da.i, da.j, db.i, db.j]
-        for p, q in pairs:
+        for p, q in itertools.product((da.i, da.j), (db.i, db.j)):
             if min((p - q) % self.N, (q - p) % self.N) != 1:
                 continue
             rest = list(endpoints)
@@ -387,35 +363,14 @@ class OrbitCategory:
 
     def closure(self, seed: Iterable[IntervalObject]) -> FrozenSet[IntervalObject]:
         """Least extension-closed object set containing the seed."""
-        current = set()
+        seed = list(seed)
         for x in seed:
             self._require(x)
-            current.add(x)
-        queue = [(a, b) for a in current for b in current]
-        while queue:
-            a, b = queue.pop()
-            for mdl in self.e_set(a, b):
-                if mdl not in current:
-                    queue.extend((mdl, c) for c in current)
-                    queue.append((mdl, mdl))
-                    current.add(mdl)
-        return frozenset(current)
+        return _close(seed, self.e_set)
 
     def closure_diagonals(self, seed: Iterable[MDiagonal]) -> FrozenSet[MDiagonal]:
         objs = self.closure(self.from_diagonal(d) for d in seed)
         return frozenset(self.to_diagonal(x) for x in objs)
-
-    def ptolemy_closure_diagonals(self, seed: Iterable[MDiagonal]) -> FrozenSet[MDiagonal]:
-        """Least set of diagonals closed under Ptolemy connectors."""
-        current = set(seed)
-        queue = [(a, b) for a in current for b in current]
-        while queue:
-            a, b = queue.pop()
-            for mdl in self.ptolemy(a, b):
-                if mdl not in current:
-                    queue.extend((mdl, c) for c in current)
-                    current.add(mdl)
-        return frozenset(current)
 
     def torsion_classes(self) -> List[Tuple[MDiagonal, ...]]:
         """All torsion classes, as sorted diagonal tuples in lexicographic order.

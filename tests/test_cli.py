@@ -135,8 +135,9 @@ def test_env_window_override(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["verdict"] == "torsion_class"
     monkeypatch.setenv("SPHTOR_WINDOW", "banana")
-    with pytest.raises(ValueError):
-        invoke(capsys, "torsion", "--in", str(path))
+    code, out, err = invoke(capsys, "torsion", "--in", str(path))
+    assert code == 64 and out == ""
+    assert "SPHTOR_WINDOW" in err
 
 
 def test_t1_classify_from_json(tmp_path, capsys):
@@ -153,3 +154,66 @@ def test_orbit_enumerate_guard_exit_code(capsys):
     code, _, err = invoke(capsys, "orbit", "enumerate", "--n", "5", "--m", "2")
     assert code == 2
     assert "2^25" in err
+
+
+def test_global_flags_before_subcommand(capsys):
+    code, out, _ = invoke(capsys, "--format", "json", "hom", "--w", "2",
+                          "--a", "0,3", "--b", "1,4")
+    assert code == 0 and json.loads(out) == {"dim": 1}
+    # a flag after the subcommand still wins over one before it
+    code, out, _ = invoke(capsys, "--format", "json", "hom", "--w", "2",
+                          "--a", "0,3", "--b", "1,4", "--format", "text")
+    assert code == 0 and out.strip() == "1"
+
+
+def test_arc_list_starting_negative(capsys):
+    code, out, _ = invoke(capsys, "closure", "--w", "3", "--arcs", "-5,4;-4,5",
+                          "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"w": 3, "arcs": [[-5, 4], [-4, 5]]}
+
+
+@pytest.mark.parametrize("before", [False, True])
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_non_positive_window_is_usage_error(tmp_path, capsys, window, before):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({"w": 2, "arcs": [[0, 3]], "fountains": []}))
+    flag, request = ["--window", window], ["torsion", "--in", str(path)]
+    code, out, err = invoke(capsys, *(flag + request if before else request + flag))
+    assert code == 64 and out == ""
+    assert "--window" in err
+
+
+def test_non_positive_env_window_is_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({"w": 2, "arcs": [[0, 3]], "fountains": []}))
+    monkeypatch.setenv("SPHTOR_WINDOW", "0")
+    code, _, err = invoke(capsys, "torsion", "--in", str(path))
+    assert code == 64
+    assert "SPHTOR_WINDOW must be positive" in err
+
+
+BAD_INPUTS = {
+    "missing_file": (("torsion", "--in", "{tmp}/missing.json"), 64),
+    "malformed_json": (("torsion", "--in", "{tmp}/malformed.json"), 64),
+    "no_weight": (("torsion", "--in", "{tmp}/no_weight.json"), 64),
+    "t1_negative_level": (("t1", "hom", "--a", "0,-1", "--b", "0,0"), 64),
+    "render_non_diagonal": (("render", "--n", "3", "--m", "2", "--diagonals", "1,3"), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exit_code(tmp_path, capsys, name):
+    (tmp_path / "malformed.json").write_text('{"w": 2, "arcs": [[0, 3], ')
+    (tmp_path / "no_weight.json").write_text(json.dumps({"arcs": [[0, 3]], "fountains": []}))
+    words, expected = BAD_INPUTS[name]
+    code, out, err = invoke(capsys, *(w.replace("{tmp}", str(tmp_path)) for w in words))
+    assert code == expected and out == ""
+    assert err.strip()
+
+
+def test_render_non_diagonal_matches_orbit_hom(capsys):
+    _, _, render_err = invoke(capsys, "render", "--n", "3", "--m", "2", "--diagonals", "1,3")
+    code, _, hom_err = invoke(capsys, "orbit", "hom", "--n", "3", "--m", "2",
+                              "--a", "1,3", "--b", "1,6")
+    assert code == 2 and render_err == hom_err

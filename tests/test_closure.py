@@ -9,6 +9,7 @@ from sphtor import (
     InvalidArc,
     NonConvergence,
     Verdict,
+    WeightMismatch,
     arc,
     arcs_in_window,
     extension_closure_oracle,
@@ -33,6 +34,15 @@ def test_closure_examples():
     singleton = [arc(2, 0, 5)]
     assert ptolemy_closure(2, singleton) == frozenset(singleton)
     assert extension_closure_oracle(2, []) == frozenset()
+
+
+@pytest.mark.parametrize("close", [ptolemy_closure, extension_closure_oracle])
+def test_closures_reject_mixed_weights(close):
+    mixed = [arc(2, 0, 3), arc(3, 0, 3)]
+    with pytest.raises(WeightMismatch):
+        close(2, mixed)
+    with pytest.raises(WeightMismatch):
+        close(3, iter(mixed))
 
 
 @pytest.mark.parametrize("w", ALL_WEIGHTS)

@@ -250,6 +250,14 @@ def test_params_mismatch_rejected():
         cat.from_diagonal(MDiagonal(1, 3))
 
 
+def test_closure_rejects_objects_of_other_parameters():
+    cat = OrbitCategory(2, 2)
+    foreign = OrbitCategory(3, 2).objects
+    stranger = next(x for x in foreign if x not in cat.objects)
+    with pytest.raises(ParamsMismatch):
+        cat.closure([cat.objects[0], stranger])
+
+
 FROZEN_TORSION_COUNTS = {
     (1, 2): 2,
     (2, 2): 10,

@@ -1,0 +1,29 @@
+import os
+import subprocess
+import sys
+from types import ModuleType
+
+import sphtor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_public_names_resolve_and_hold_no_modules():
+    assert sphtor.__all__ == sorted(set(sphtor.__all__))
+    for name in sphtor.__all__:
+        assert not isinstance(getattr(sphtor, name), ModuleType), name
+    assert "db_functor" not in sphtor.__all__
+    for module in ("arcs", "closure", "errors", "extensions", "hammocks", "orbit", "tube"):
+        assert module not in sphtor.__all__
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's answer checks must accept the library's own answers
+    result = subprocess.run(
+        [sys.executable, os.path.join("bench", "selftest.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
