@@ -113,13 +113,21 @@ def _diag_list(text: str) -> List[MDiagonal]:
     return [_diag(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
+def _write(args, data: str) -> None:
+    """Write to the --out file, or to stdout; an unwritable file is a usage error."""
+    if not args.out:
+        sys.stdout.write(data)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
+
+
 def _emit(args, text: str, payload) -> None:
     data = text if args.format == "text" else json.dumps(payload, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(data if data.endswith("\n") else data + "\n")
-    else:
-        print(data)
+    _write(args, data + "\n")
 
 
 def _arc_json(a) -> list:
@@ -263,10 +271,7 @@ def _run_orbit(args) -> None:
     cat = OrbitCategory(args.n, args.m)
     cmd = args.orbit_command
     if cmd == "list":
-        rows = [
-            (cat.to_diagonal(x), x) for x in cat.objects
-        ]
-        rows.sort()
+        rows = sorted((cat.to_diagonal(x), x) for x in cat.objects)
         text = "\n".join(f"{d}  <->  {x}" for d, x in rows)
         payload = {
             "n": args.n,
@@ -279,19 +284,16 @@ def _run_orbit(args) -> None:
         return
     if cmd in ("hom", "ext", "middle"):
         xa, xb = cat.from_diagonal(_diag(args.a)), cat.from_diagonal(_diag(args.b))
-        if cmd == "hom":
-            dim = cat.hom_dim(xa, xb)
-            _emit(args, str(dim), {"dim": dim})
-        elif cmd == "ext":
-            dim = cat.ext_dim(xb, xa)
-            _emit(args, str(dim), {"dim": dim})
-        else:
+        if cmd == "middle":
             mids = sorted(cat.to_diagonal(x) for x in cat.middle_term(xa, xb))
             _emit(
                 args,
                 " + ".join(map(str, mids)) if mids else "0",
                 {"middles": [[d.i, d.j] for d in mids]},
             )
+        else:
+            dim = cat.hom_dim(xa, xb) if cmd == "hom" else cat.ext_dim(xb, xa)
+            _emit(args, str(dim), {"dim": dim})
         return
     if cmd == "closure":
         seed = _diag_list(args.diagonals)
@@ -313,12 +315,7 @@ def _run_orbit(args) -> None:
     ]
     lines.append("n,m,count")
     lines.append(f"{args.n},{args.m},{len(classes)}")
-    data = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
+    _write(args, "\n".join(lines) + "\n")
 
 
 def _run_render(args) -> None:
@@ -336,17 +333,15 @@ def _run_render(args) -> None:
         svg = svg_arc_diagram(
             args.w, _arc_list(args.w, args.arcs), _arc_list(args.w, args.dashed)
         )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    else:
-        sys.stdout.write(svg)
+    _write(args, svg)
 
 
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in ("hom", "ext", "middle", "eset", "ptolemy"):
+            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
         if args.command == "admissible":
             ok = is_admissible(args.w, *_pair(args.arc))
             _emit(args, "admissible" if ok else "not admissible", {"admissible": ok})
@@ -355,13 +350,10 @@ def run(argv: Sequence[str]) -> int:
             out = apply_functor(args.functor, args.k, a)
             _emit(args, str(out), {"arc": _arc_json(out)})
         elif args.command == "hom":
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
             _emit(args, str(hom_dim(a, b)), {"dim": hom_dim(a, b)})
         elif args.command == "ext":
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
             _emit(args, str(ext_dim(b, a)), {"dim": ext_dim(b, a)})
         elif args.command == "middle":
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
             classes = middle_terms(a, b)
             text = "\n".join(
                 f"{cls.side.value}: " + (" + ".join(map(str, cls.middles)) or "0")
@@ -375,12 +367,10 @@ def run(argv: Sequence[str]) -> int:
             }
             _emit(args, text, payload)
         elif args.command == "eset":
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
             arcs = sorted(e_set(a, b))
             _emit(args, " ".join(map(str, arcs)) or "(empty)",
                   {"arcs": [_arc_json(m) for m in arcs]})
         elif args.command == "ptolemy":
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
             pt = ptolemy_arcs(a, b)
             text = "\n".join(
                 f"class {label}: " + (" ".join(map(str, sorted(group))) or "(empty)")

@@ -4,12 +4,13 @@ This module owns the package's one pair-closure engine, ``_close``: the
 least set closed under a symmetric pair rule.  The arc closures feed it
 connector arcs or extension middle terms, and
 :meth:`sphtor.orbit.OrbitCategory.closure` feeds it orbit-category middle
-terms.  Finite arc sets close without leaving their own endpoint set, so
-the fixpoint is finite and cheap.  Infinite subcategories
-are presented by :class:`DescriptorSet` (finite arcs plus partial-fountain
-generators); their closure is computed on instantiation windows and promoted
-back to fountain form, with a window-doubling stability check guarding the
-promotion heuristic.
+terms.  Finite arc sets close without leaving their own endpoint set, so the
+fixpoint is finite and cheap.  ``_closed_sets`` lists every closed set of a
+finite universe by NextClosure over the engine, up to ``MAX_CLOSED_SETS``.
+Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
+plus partial-fountain generators); their closure is computed on
+instantiation windows and promoted back to fountain form, with a
+window-doubling stability check guarding the promotion heuristic.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from itertools import combinations_with_replacement
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .arcs import Arc, arc, arcs_in_window, is_admissible, to_coord, translation_step
-from .errors import InvalidArc, NonConvergence, WeightMismatch
+from .errors import InvalidArc, NonConvergence, TooLarge, WeightMismatch
 from .extensions import e_set, ptolemy_arcs
 from .hammocks import hom_dim
 
 DEFAULT_WINDOW = 40
+MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 objects
 
 
 def report_window() -> int:
@@ -60,6 +62,28 @@ def _close(seed: Iterable, pair_rule: Callable[..., Iterable]) -> FrozenSet:
     return frozenset(members)
 
 
+def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> Iterable[FrozenSet[int]]:
+    """Every subset of ``range(k)`` closed under ``pair_rule``, in lectic order.
+
+    Ganter's NextClosure over ``_close``: the successor of a closed set A is
+    the closure of A's members below i plus i, for the largest i not in A
+    whose closure adds nothing below i.  That takes at most k closures per
+    set.  Raises ``TooLarge`` rather than yield more than ``MAX_CLOSED_SETS``.
+    """
+    current = _close((), pair_rule)
+    for _ in range(MAX_CLOSED_SETS):
+        yield current
+        for i in reversed(range(k)):
+            if i not in current:
+                successor = _close([j for j in current if j < i] + [i], pair_rule)
+                if min(successor - current) == i:
+                    current = successor
+                    break
+        else:
+            return
+    raise TooLarge(f"more than {MAX_CLOSED_SETS} closed sets (limit 2^16)")
+
+
 def _weighted(w: int, arcs_in: Iterable[Arc]) -> Set[Arc]:
     """The arcs as a set, once ``w`` and the weight of every arc are checked."""
     translation_step(w)
@@ -87,6 +111,10 @@ def extension_closure_oracle(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
 class FountainSide(Enum):
     LEFT = "left"
     RIGHT = "right"
+
+    def __lt__(self, other: "FountainSide") -> bool:
+        # orders two fountains at one vertex, so fountain sets sort
+        return self.value < other.value
 
 
 class FountainDescriptor(NamedTuple):

@@ -8,7 +8,8 @@ degree m-1 non-injectives.  The polygon model labels them by the diagonals of
 an N-gon, N = m(n+1) - 2, that cut it into pieces with vertex counts
 divisible by m.  The derived-category construction is authoritative; the
 polygon layer is a validated view (construction fails hard if the counts or
-the rotation equivariance do not come out).
+the rotation equivariance do not come out).  Torsion classes are the closed
+sets of the closure module's one engine, listed by NextClosure.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
-from .closure import _close
-from .errors import NoExtension, ParamsMismatch, TooLarge, ValidationFailure
+from .closure import _close, _closed_sets
+from .errors import NoExtension, ParamsMismatch, ValidationFailure
 
 
 class IntervalObject(NamedTuple):
@@ -376,35 +377,14 @@ class OrbitCategory:
         """All torsion classes, as sorted diagonal tuples in lexicographic order.
 
         Every extension-closed subset qualifies (the category is finite, so
-        approximations exist for free); enumeration is exhaustive over the
-        subset lattice and guarded at 16 indecomposables.
+        approximations exist for free).  NextClosure lists them from a table
+        of ``e_set`` on object indices, or raises ``TooLarge`` past 2^16.
         """
-        k = len(self.objects)
-        if k > 16:
-            raise TooLarge(f"refusing to enumerate 2^{k} subsets (limit 2^16)")
         objs = self.objects
         index = {x: i for i, x in enumerate(objs)}
-        required = [[0] * k for _ in range(k)]
-        for i, a in enumerate(objs):
-            for j, b in enumerate(objs):
-                mask = 0
-                for mdl in self.e_set(a, b):
-                    mask |= 1 << index[mdl]
-                required[i][j] = mask
-        closed_sets = []
-        for mask in range(1 << k):
-            members = [i for i in range(k) if mask >> i & 1]
-            ok = True
-            for i in members:
-                row = required[i]
-                for j in members:
-                    if row[j] & ~mask:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                closed_sets.append(
-                    tuple(sorted(self.to_diagonal(objs[i]) for i in members))
-                )
-        return sorted(closed_sets)
+        table = [[tuple(index[x] for x in self.e_set(a, b)) for b in objs] for a in objs]
+        diagonals = [self.to_diagonal(x) for x in objs]
+        return sorted(
+            tuple(sorted(diagonals[i] for i in cls))
+            for cls in _closed_sets(len(objs), lambda i, j: table[i][j])
+        )

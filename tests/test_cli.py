@@ -151,9 +151,30 @@ def test_t1_classify_from_json(tmp_path, capsys):
 
 
 def test_orbit_enumerate_guard_exit_code(capsys):
-    code, _, err = invoke(capsys, "orbit", "enumerate", "--n", "5", "--m", "2")
-    assert code == 2
-    assert "2^25" in err
+    code, out, err = invoke(capsys, "orbit", "enumerate", "--n", "1", "--m", "18")
+    assert code == 2 and out == ""
+    assert "2^16" in err
+
+
+def test_orbit_enumerate_past_sixteen_objects(capsys):
+    code, out, _ = invoke(capsys, "orbit", "enumerate", "--n", "5", "--m", "2")
+    assert code == 0
+    assert out.endswith("n,m,count\n5,2,10302\n")
+
+
+UNWRITABLE = {
+    "hom": ("hom", "--w", "2", "--a", "0,3", "--b", "1,4"),
+    "orbit_enumerate": ("orbit", "enumerate", "--n", "2", "--m", "2"),
+    "render": ("render", "--w", "2", "--arcs", "0,3;1,4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE))
+def test_unwritable_out_is_usage_error(tmp_path, capsys, name):
+    path = tmp_path / "missing" / "x"
+    code, out, err = invoke(capsys, *UNWRITABLE[name], "--out", str(path))
+    assert code == 64 and out == ""
+    assert f"cannot write {path}" in err
 
 
 def test_global_flags_before_subcommand(capsys):

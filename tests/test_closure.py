@@ -95,6 +95,15 @@ def test_descriptor_json_round_trip():
     assert DescriptorSet.from_json_dict(json.loads(blob)) == ds
 
 
+def test_two_sided_fountain_sorts():
+    left = FountainDescriptor(0, FountainSide.LEFT, -1)
+    right = FountainDescriptor(0, FountainSide.RIGHT, 1)
+    ds = DescriptorSet(0, [], [right, left])
+    assert repr(ds) == f"DescriptorSet(w=0, arcs=[], fountains={[left, right]})"
+    assert [f["side"] for f in ds.to_json_dict()["fountains"]] == ["left", "right"]
+    assert DescriptorSet.from_json_dict(ds.to_json_dict()) == ds
+
+
 def test_symbolic_closure_finite_matches_plain():
     sample = [arc(2, 0, 3), arc(2, 1, 4)]
     ds = DescriptorSet(2, sample)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import sphtor as s
+from sphtor.closure import _closed_sets
 from sphtor import (
     IntervalObject,
     MDiagonal,
@@ -266,6 +267,8 @@ FROZEN_TORSION_COUNTS = {
     (2, 4): 277,
     (3, 3): 1224,
     (4, 2): 834,
+    (5, 2): 10302,
+    (3, 4): 21170,
 }
 
 
@@ -279,8 +282,61 @@ def test_torsion_enumeration_counts(n, m):
 
 
 def test_enumeration_guard():
-    with pytest.raises(TooLarge):
-        OrbitCategory(5, 2).torsion_classes()
+    # (1, 18) has 17 indecomposables and every subset is closed
+    with pytest.raises(TooLarge, match="2\\^16"):
+        OrbitCategory(1, 18).torsion_classes()
+
+
+def _subset_scan(cat):
+    """Sorted diagonal tuples of every subset closed under ``e_set``, by brute force."""
+    objs = cat.objects
+    k = len(objs)
+    index = {x: i for i, x in enumerate(objs)}
+    required = [[0] * k for _ in range(k)]
+    for i, a in enumerate(objs):
+        for j, b in enumerate(objs):
+            for x in cat.e_set(a, b):
+                required[i][j] |= 1 << index[x]
+    out = []
+    for mask in range(1 << k):
+        members = [i for i in range(k) if mask >> i & 1]
+        if all(not required[i][j] & ~mask for i in members for j in members):
+            out.append(tuple(sorted(cat.to_diagonal(objs[i]) for i in members)))
+    return sorted(out)
+
+
+SCANNABLE = [
+    (n, m) for n in range(1, 7) for m in range(2, 15) if m * n * (n + 1) // 2 - n <= 13
+]
+
+
+@pytest.mark.parametrize("n,m", SCANNABLE)
+def test_enumeration_matches_subset_scan(n, m):
+    cat = OrbitCategory(n, m)
+    assert cat.torsion_classes() == _subset_scan(cat)
+
+
+def _closed_families(cat):
+    """Closed index sets under the extension rule and under the Ptolemy rule."""
+    objs = cat.objects
+    diags = [cat.to_diagonal(x) for x in objs]
+    index = {x: i for i, x in enumerate(objs)}
+    by_diag = {d: i for i, d in enumerate(diags)}
+    eset = [[tuple(index[x] for x in cat.e_set(a, b)) for b in objs] for a in objs]
+    ptol = [[tuple(by_diag[d] for d in cat.ptolemy(da, db)) for db in diags] for da in diags]
+    k = len(objs)
+    return (
+        set(_closed_sets(k, lambda i, j: eset[i][j])),
+        set(_closed_sets(k, lambda i, j: ptol[i][j])),
+    )
+
+
+@pytest.mark.parametrize("n,m", [(5, 2), (3, 4)])
+def test_theorem_b_past_subset_scan(n, m):
+    # extension-closed = Ptolemy-closed beyond criterion 9's 2^16 subsets
+    extension_closed, ptolemy_closed = _closed_families(OrbitCategory(n, m))
+    assert extension_closed == ptolemy_closed
+    assert len(extension_closed) == FROZEN_TORSION_COUNTS[(n, m)]
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
