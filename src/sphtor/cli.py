@@ -271,7 +271,10 @@ def _run_orbit(args) -> None:
     cat = OrbitCategory(args.n, args.m)
     cmd = args.orbit_command
     if cmd == "list":
-        rows = sorted((cat.to_diagonal(x), x) for x in cat.objects)
+        rows = [
+            (cat.to_diagonal(x), x) for x in cat.objects
+        ]
+        rows.sort()
         text = "\n".join(f"{d}  <->  {x}" for d, x in rows)
         payload = {
             "n": args.n,
@@ -284,16 +287,19 @@ def _run_orbit(args) -> None:
         return
     if cmd in ("hom", "ext", "middle"):
         xa, xb = cat.from_diagonal(_diag(args.a)), cat.from_diagonal(_diag(args.b))
-        if cmd == "middle":
+        if cmd == "hom":
+            dim = cat.hom_dim(xa, xb)
+            _emit(args, str(dim), {"dim": dim})
+        elif cmd == "ext":
+            dim = cat.ext_dim(xb, xa)
+            _emit(args, str(dim), {"dim": dim})
+        else:
             mids = sorted(cat.to_diagonal(x) for x in cat.middle_term(xa, xb))
             _emit(
                 args,
                 " + ".join(map(str, mids)) if mids else "0",
                 {"middles": [[d.i, d.j] for d in mids]},
             )
-        else:
-            dim = cat.hom_dim(xa, xb) if cmd == "hom" else cat.ext_dim(xb, xa)
-            _emit(args, str(dim), {"dim": dim})
         return
     if cmd == "closure":
         seed = _diag_list(args.diagonals)
@@ -340,8 +346,6 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in ("hom", "ext", "middle", "eset", "ptolemy"):
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
         if args.command == "admissible":
             ok = is_admissible(args.w, *_pair(args.arc))
             _emit(args, "admissible" if ok else "not admissible", {"admissible": ok})
@@ -350,10 +354,13 @@ def run(argv: Sequence[str]) -> int:
             out = apply_functor(args.functor, args.k, a)
             _emit(args, str(out), {"arc": _arc_json(out)})
         elif args.command == "hom":
+            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
             _emit(args, str(hom_dim(a, b)), {"dim": hom_dim(a, b)})
         elif args.command == "ext":
+            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
             _emit(args, str(ext_dim(b, a)), {"dim": ext_dim(b, a)})
         elif args.command == "middle":
+            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
             classes = middle_terms(a, b)
             text = "\n".join(
                 f"{cls.side.value}: " + (" + ".join(map(str, cls.middles)) or "0")
@@ -367,10 +374,12 @@ def run(argv: Sequence[str]) -> int:
             }
             _emit(args, text, payload)
         elif args.command == "eset":
+            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
             arcs = sorted(e_set(a, b))
             _emit(args, " ".join(map(str, arcs)) or "(empty)",
                   {"arcs": [_arc_json(m) for m in arcs]})
         elif args.command == "ptolemy":
+            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
             pt = ptolemy_arcs(a, b)
             text = "\n".join(
                 f"class {label}: " + (" ".join(map(str, sorted(group))) or "(empty)")

@@ -81,7 +81,7 @@ def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> Iterable[FrozenS
                     break
         else:
             return
-    raise TooLarge(f"more than {MAX_CLOSED_SETS} closed sets (limit 2^16)")
+    raise TooLarge(f"refusing to list more than {MAX_CLOSED_SETS} closed sets")
 
 
 def _weighted(w: int, arcs_in: Iterable[Arc]) -> Set[Arc]:

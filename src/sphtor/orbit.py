@@ -378,13 +378,25 @@ class OrbitCategory:
 
         Every extension-closed subset qualifies (the category is finite, so
         approximations exist for free).  NextClosure lists them from a table
-        of ``e_set`` on object indices, or raises ``TooLarge`` past 2^16.
+        of ``e_set`` on object indices, or raises ``TooLarge`` past 2^16.  The
+        table is filled as the enumeration reaches its cells, so the work
+        before ``TooLarge`` follows the sets visited, not the object count.
         """
         objs = self.objects
+        k = len(objs)
         index = {x: i for i, x in enumerate(objs)}
-        table = [[tuple(index[x] for x in self.e_set(a, b)) for b in objs] for a in objs]
+        rows: List = [None] * k
+
+        def rule(i: int, j: int) -> Tuple[int, ...]:
+            row = rows[i]
+            if row is None:
+                row = rows[i] = [None] * k
+            cell = row[j]
+            if cell is None:
+                cell = row[j] = tuple(index[x] for x in self.e_set(objs[i], objs[j]))
+            return cell
+
         diagonals = [self.to_diagonal(x) for x in objs]
         return sorted(
-            tuple(sorted(diagonals[i] for i in cls))
-            for cls in _closed_sets(len(objs), lambda i, j: table[i][j])
+            tuple(sorted(diagonals[i] for i in cls)) for cls in _closed_sets(k, rule)
         )

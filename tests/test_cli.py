@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sphtor.cli import run
+from sphtor.closure import MAX_CLOSED_SETS
 
 
 def invoke(capsys, *argv):
@@ -153,7 +154,7 @@ def test_t1_classify_from_json(tmp_path, capsys):
 def test_orbit_enumerate_guard_exit_code(capsys):
     code, out, err = invoke(capsys, "orbit", "enumerate", "--n", "1", "--m", "18")
     assert code == 2 and out == ""
-    assert "2^16" in err
+    assert str(MAX_CLOSED_SETS) in err
 
 
 def test_orbit_enumerate_past_sixteen_objects(capsys):

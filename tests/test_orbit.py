@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import sphtor as s
-from sphtor.closure import _closed_sets
+from sphtor.closure import MAX_CLOSED_SETS, _closed_sets
 from sphtor import (
     IntervalObject,
     MDiagonal,
@@ -283,8 +283,19 @@ def test_torsion_enumeration_counts(n, m):
 
 def test_enumeration_guard():
     # (1, 18) has 17 indecomposables and every subset is closed
-    with pytest.raises(TooLarge, match="2\\^16"):
+    with pytest.raises(TooLarge, match=str(MAX_CLOSED_SETS)):
         OrbitCategory(1, 18).torsion_classes()
+
+
+def test_enumeration_guard_work_follows_sets_visited():
+    # 4180 objects: a full e_set table would take 17.5 million calls
+    cat = OrbitCategory(20, 20)
+    calls = []
+    e_set = cat.e_set
+    cat.e_set = lambda a, b: calls.append((a, b)) or e_set(a, b)
+    with pytest.raises(TooLarge, match=str(MAX_CLOSED_SETS)):
+        cat.torsion_classes()
+    assert len(calls) == len(set(calls)) < len(cat.objects)
 
 
 def _subset_scan(cat):
