@@ -81,14 +81,22 @@ class Arc(NamedTuple):
         return f"({self.t},{self.u})"
 
 
-def arc(w: int, x: int, y: int) -> Arc:
-    """Return the canonical admissible arc on {x, y}, or raise InvalidArc."""
-    translation_step(w)
+def _admissible_arc(w: int, x: int, y: int) -> Optional[Arc]:
+    """The canonical arc on {x, y}, or None if it is not admissible (w unchecked)."""
     if _oriented_admissible(w, x, y):
         return Arc(x, y, w)
     if _oriented_admissible(w, y, x):
         return Arc(y, x, w)
-    raise InvalidArc(f"({x},{y}) is not an admissible arc for w={w}")
+    return None
+
+
+def arc(w: int, x: int, y: int) -> Arc:
+    """Return the canonical admissible arc on {x, y}, or raise InvalidArc."""
+    translation_step(w)
+    a = _admissible_arc(w, x, y)
+    if a is None:
+        raise InvalidArc(f"({x},{y}) is not an admissible arc for w={w}")
+    return a
 
 
 def require_same_weight(a: Arc, b: Arc) -> int:

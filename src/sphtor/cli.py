@@ -9,6 +9,7 @@ pure function of the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -233,6 +234,12 @@ def build_parser() -> Parser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> Parser:
+    """The parser, built on the first request; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _run_t1(args) -> None:
     if args.t1_command == "classify":
         if args.infile:
@@ -343,7 +350,7 @@ def _run_render(args) -> None:
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "admissible":

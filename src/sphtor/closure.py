@@ -2,7 +2,8 @@
 
 This module owns the package's one pair-closure engine, ``_close``: the
 least set closed under a symmetric pair rule.  The arc closures feed it
-connector arcs or extension middle terms, and
+the integer pair kernels of :mod:`sphtor.extensions` (connector arcs, or
+the middle summands of both extensions), once the weights are checked, and
 :meth:`sphtor.orbit.OrbitCategory.closure` feeds it orbit-category middle
 terms.  Finite arc sets close without leaving their own endpoint set, so the
 fixpoint is finite and cheap.  ``_closed_sets`` lists every closed set of a
@@ -22,7 +23,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Option
 
 from .arcs import Arc, arc, arcs_in_window, is_admissible, to_coord, translation_step
 from .errors import InvalidArc, NonConvergence, TooLarge, WeightMismatch
-from .extensions import e_set, ptolemy_arcs
+from .extensions import _both_middles, _connectors_ints
 from .hammocks import hom_dim
 
 DEFAULT_WINDOW = 40
@@ -96,7 +97,8 @@ def _weighted(w: int, arcs_in: Iterable[Arc]) -> Set[Arc]:
 
 def ptolemy_closure(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
     """Least fixpoint of adding admissible connector arcs over all pairs."""
-    return _close(_weighted(w, arcs_in), lambda a, b: ptolemy_arcs(a, b).all)
+    seed = _weighted(w, arcs_in)
+    return _close(seed, lambda a, b: _connectors_ints(w, a.t, a.u, b.t, b.u)[1])
 
 
 def extension_closure_oracle(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
@@ -105,7 +107,8 @@ def extension_closure_oracle(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
     Independent of the connector-arc code path; the two closures agreeing is
     the arc-level statement of the extension-closure theorems.
     """
-    return _close(_weighted(w, arcs_in), e_set)
+    seed = _weighted(w, arcs_in)
+    return _close(seed, lambda a, b: _both_middles(w, a, b))
 
 
 class FountainSide(Enum):
@@ -377,9 +380,11 @@ class TorsionReport(NamedTuple):
 
 def _closedness_witness(ds: DescriptorSet, closed: DescriptorSet, lo: int, hi: int):
     present = ds.instantiate(lo, hi)
-    for a in sorted(present):
-        for b in sorted(present):
-            for m in ptolemy_arcs(a, b).all:
+    ordered = sorted(present)
+    for a in ordered:
+        for b in ordered:
+            # the first missing connector in set order, as ptolemy_arcs(a, b).all lists them
+            for m in frozenset(_connectors_ints(ds.w, a.t, a.u, b.t, b.u)[1]):
                 if m not in present and not any(f.covers(ds.w, m) for f in ds.fountains):
                     return (a, b), m
     return None, None

@@ -6,6 +6,13 @@ module computes them (``middle_terms``), the symmetric summand set
 (``e_set``), the crossing/neighbouring/adjacent connector arcs
 (``ptolemy_arcs``), the closed-form cohomology of the middle term, and the
 ordered multi-extension formula for several Hom-orthogonal last terms.
+
+The pair answers come from two integer kernels on endpoints:
+``_connectors_ints`` (the connector rule, from the crossing test) and
+``_middles_ints`` (the middles, from the Ext test and the hammock side).
+The arc closures call them once per pair; ``ptolemy_arcs``, ``e_set`` and
+``middle_terms`` are thin wrappers that check the weight and shape the
+result.
 """
 
 from __future__ import annotations
@@ -15,11 +22,11 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .arcs import (
     Arc,
-    RelationKind,
+    _admissible_arc,
+    _crossing_ints,
     _oriented_admissible,
     arc,
     is_admissible,
-    relation,
     require_same_weight,
     suspend,
     to_coord,
@@ -29,6 +36,8 @@ from .errors import NoExtension, NonOrthogonalInput, NotInHammock
 from .hammocks import (
     CohomologyVector,
     HammockSide,
+    _ext_nonzero_ints,
+    _forward_ext_ints,
     ext_dim,
     hammock_side,
     hom_dim,
@@ -67,13 +76,71 @@ def _keep(w: int, t: int, u: int) -> Optional[Arc]:
     return Arc(t, u, w) if _oriented_admissible(w, t, u) else None
 
 
-def _middle_pairs(a: Arc, b: Arc, side: HammockSide) -> List[Arc]:
-    w = a.w
-    if side is HammockSide.FORWARD:
-        candidates = [(a.t, b.u), (b.t, a.u)]
+# Integer kernels.  The two share no predicate (connectors come from the
+# crossing test, middles from Ext and the hammock side), so the closures
+# they feed stay two independent routes.
+
+
+def _connectors_ints(
+    w: int, at: int, au: int, bt: int, bu: int
+) -> Tuple[int, Tuple[Arc, ...]]:
+    """Connector arcs of the arcs on {at, au} and {bt, bu}, canonical.
+
+    Returns ``(k, arcs)`` with ``k`` the class of the branch that fired
+    (0 when none did): 0 for crossing pairs (class I, the four cross pairs),
+    1 for neighbouring pairs at w <= 0 (class II, the far endpoints of each
+    distance-1 contact), 2 for a shared endpoint at w = 0 (class III: an
+    adjacent pair gives the loop there and the far endpoints' arc; a = b,
+    not a loop, gives its two endpoint loops).
+    """
+    if _crossing_ints(at, au, bt, bu):
+        pairs = ((at, bt), (at, bu), (au, bt), (au, bu))
+        return 0, tuple(m for x, y in pairs if (m := _admissible_arc(w, x, y)) is not None)
+    if at == bt or at == bu or au == bt or au == bu:
+        if w or at == au or bt == bu:
+            return 0, ()
+        if at == bt and au == bu:
+            return 2, (Arc(at, at, w), Arc(au, au, w))
+        x, far_a = (at, au) if at in (bt, bu) else (au, at)
+        far_b = bu if bt == x else bt
+        return 2, (Arc(x, x, w), Arc(max(far_a, far_b), min(far_a, far_b), w))
+    if w > 0:
+        return 0, ()
+    # contacts in ascending order, as relation() lists them (u <= t at w <= 0)
+    ends_a = ((au, at), (at, au)) if at != au else ((at, at),)
+    ends_b = ((bu, bt), (bt, bu)) if bt != bu else ((bt, bt),)
+    return 1, tuple(
+        m
+        for p, far_a in ends_a
+        for q, far_b in ends_b
+        if abs(p - q) == 1 and (m := _admissible_arc(w, far_a, far_b)) is not None
+    )
+
+
+def _middles_ints(
+    w: int, at: int, au: int, bt: int, bu: int
+) -> Tuple[Optional[HammockSide], Tuple[Arc, ...]]:
+    """Hammock side and middle summands of the extension of b by a.
+
+    ``(None, ())`` when Ext^1(b, a) = 0.  At w = 0 with b the suspension of
+    a the side is ``BOTH_W0_SIGMA_A`` and the middles are those of the
+    almost-split (forward) class.  The middles may include a or b.
+    """
+    if not _ext_nonzero_ints(w, at, au, bt, bu):
+        return None, ()
+    if w == 0 and bt == at - 1 and bu == au - 1:
+        side = HammockSide.BOTH_W0_SIGMA_A
+    elif _forward_ext_ints(w, at, au, bt, bu):
+        side = HammockSide.FORWARD
     else:
-        candidates = [(b.t, a.t), (b.u, a.u)]
-    return [m for t, u in candidates if (m := _keep(w, t, u)) is not None]
+        side = HammockSide.BACKWARD
+    pairs = ((bt, at), (bu, au)) if side is HammockSide.BACKWARD else ((at, bu), (bt, au))
+    return side, tuple(m for t, u in pairs if (m := _keep(w, t, u)) is not None)
+
+
+def _both_middles(w: int, a: Arc, b: Arc) -> Tuple[Arc, ...]:
+    """Middle summands of the extensions in both directions (a and b may occur)."""
+    return _middles_ints(w, a.t, a.u, b.t, b.u)[1] + _middles_ints(w, b.t, b.u, a.t, a.u)[1]
 
 
 def middle_terms(a: Arc, b: Arc) -> List[ExtensionClass]:
@@ -84,72 +151,35 @@ def middle_terms(a: Arc, b: Arc) -> List[ExtensionClass]:
     zero-middle one tied to the identity map.
     """
     w = require_same_weight(a, b)
-    if ext_dim(b, a) == 0:
+    translation_step(w)
+    side, middles = _middles_ints(w, a.t, a.u, b.t, b.u)
+    if side is None:
         return []
-    if w == 0 and b == suspend(a):
-        forward = tuple(sorted(_middle_pairs(a, b, HammockSide.FORWARD)))
+    middles = tuple(sorted(middles))
+    if side is HammockSide.BOTH_W0_SIGMA_A:
         return [
-            ExtensionClass(a, b, forward, HammockSide.FORWARD),
+            ExtensionClass(a, b, middles, HammockSide.FORWARD),
             ExtensionClass(a, b, (), HammockSide.BACKWARD),
         ]
-    side = hammock_side(b, a)
-    return [ExtensionClass(a, b, tuple(sorted(_middle_pairs(a, b, side))), side)]
+    return [ExtensionClass(a, b, middles, side)]
 
 
 def e_set(a: Arc, b: Arc) -> frozenset:
     """Middle summands of extensions in both directions, minus the pair itself."""
-    require_same_weight(a, b)
-    out = set()
-    for cls in middle_terms(a, b):
-        out.update(cls.middles)
-    for cls in middle_terms(b, a):
-        out.update(cls.middles)
-    out.discard(a)
-    out.discard(b)
-    return frozenset(out)
-
-
-def _connector(w: int, x: int, y: int) -> Optional[Arc]:
-    return arc(w, x, y) if is_admissible(w, x, y) else None
+    w = require_same_weight(a, b)
+    translation_step(w)
+    return frozenset(_both_middles(w, a, b)).difference((a, b))
 
 
 def ptolemy_arcs(a: Arc, b: Arc) -> PtolemyArcs:
     """Connector arcs of a pair: class I (crossing), II (neighbouring, w <= 0),
     III (adjacent, w = 0; a = b allowed), each filtered by admissibility."""
     w = require_same_weight(a, b)
-    class_i: set = set()
-    class_ii: set = set()
-    class_iii: set = set()
-    if a == b:
-        if w == 0 and not a.is_loop:
-            class_iii = {Arc(a.t, a.t, w), Arc(a.u, a.u, w)}
-        return PtolemyArcs(frozenset(class_i), frozenset(class_ii), frozenset(class_iii))
-    rel = relation(a, b)
-    if rel.kind is RelationKind.CROSSING:
-        vertices = {a.t, a.u, b.t, b.u}
-        for x in vertices:
-            for y in vertices:
-                if x >= y:
-                    continue
-                if {x, y} in ({a.t, a.u}, {b.t, b.u}):
-                    continue
-                if (m := _connector(w, x, y)) is not None:
-                    class_i.add(m)
-    elif rel.kind is RelationKind.NEIGHBOURING and w <= 0:
-        endpoints = [a.t, a.u, b.t, b.u]
-        for p, q in rel.contacts:
-            rest = list(endpoints)
-            rest.remove(p)
-            rest.remove(q)
-            if (m := _connector(w, rest[0], rest[1])) is not None:
-                class_ii.add(m)
-    elif rel.kind is RelationKind.ADJACENT:
-        x = rel.shared_vertex
-        rest = [v for v in (a.t, a.u) if v != x] + [v for v in (b.t, b.u) if v != x]
-        class_iii.add(Arc(x, x, w))
-        if (m := _connector(w, rest[0], rest[1])) is not None:
-            class_iii.add(m)
-    return PtolemyArcs(frozenset(class_i), frozenset(class_ii), frozenset(class_iii))
+    translation_step(w)
+    k, found = _connectors_ints(w, a.t, a.u, b.t, b.u)
+    classes = [frozenset()] * 3
+    classes[k] = frozenset(found)
+    return PtolemyArcs(*classes)
 
 
 def middle_cohomology(a: Arc, b: Arc, side: HammockSide) -> CohomologyVector:

@@ -115,12 +115,8 @@ def in_forward_ext(a: Arc, b: Arc) -> bool:
     Arithmetic membership: one endpoint of b sits on the interior progression
     of a (congruence plus range) and the other clears the forward threshold.
     """
-    threshold = a.u + translation_step(a.w)
-    return any(
-        _in_interior_ints(a.w, a.t, a.u, v, False)
-        and (other >= threshold if a.w >= 2 else other <= threshold)
-        for v, other in _incidences(b)
-    )
+    translation_step(a.w)
+    return _forward_ext_ints(a.w, a.t, a.u, b.t, b.u)
 
 
 def in_backward_ext(a: Arc, b: Arc) -> bool:
@@ -155,6 +151,16 @@ def _in_interior_ints(w: int, at: int, au: int, v: int, drop_last: bool) -> bool
     if drop_last and i == k:
         return False
     return 1 <= i <= k
+
+
+def _forward_ext_ints(w: int, at: int, au: int, bt: int, bu: int) -> bool:
+    threshold = au + w - 1
+    for v, other in ((bt, bu), (bu, bt)):
+        if _in_interior_ints(w, at, au, v, False) and (
+            other >= threshold if w >= 2 else other <= threshold
+        ):
+            return True
+    return False
 
 
 def _neighbour_incidence_ints(at: int, au: int, bt: int, bu: int) -> bool:

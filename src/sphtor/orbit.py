@@ -389,11 +389,14 @@ class OrbitCategory:
 
         def rule(i: int, j: int) -> Tuple[int, ...]:
             row = rows[i]
-            if row is None:
-                row = rows[i] = [None] * k
-            cell = row[j]
+            cell = None if row is None else row[j]
             if cell is None:
-                cell = row[j] = tuple(index[x] for x in self.e_set(objs[i], objs[j]))
+                cell = tuple(index[x] for x in self.e_set(objs[i], objs[j]))
+                # e_set is symmetric: one call fills both cells
+                for p, q in ((i, j), (j, i)):
+                    if rows[p] is None:
+                        rows[p] = [None] * k
+                    rows[p][q] = cell
             return cell
 
         diagonals = [self.to_diagonal(x) for x in objs]

@@ -239,3 +239,21 @@ def test_render_non_diagonal_matches_orbit_hom(capsys):
     code, _, hom_err = invoke(capsys, "orbit", "hom", "--n", "3", "--m", "2",
                               "--a", "1,3", "--b", "1,6")
     assert code == 2 and render_err == hom_err
+
+
+def test_parser_is_reused_without_carrying_state(capsys, monkeypatch):
+    import sphtor.cli as cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    hom = ("hom", "--w", "2", "--a", "0,3", "--b", "1,4")
+    code, out, _ = invoke(capsys, *hom, "--format", "json")
+    assert code == 0 and json.loads(out) == {"dim": 1}
+    code, out, _ = invoke(capsys, *hom)
+    assert code == 0 and out.strip() == "1"
+    code, out, err = invoke(capsys, "hom", "--w", "2", "--a", "0,3")
+    assert code == 64 and out == "" and "usage" in err
+    code, out, _ = invoke(capsys, "ext", "--w", "0", "--b", "2,0", "--a", "3,1")
+    assert code == 0 and out.strip() == "2"
+    assert len(built) <= 1

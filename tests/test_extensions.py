@@ -3,12 +3,14 @@ import itertools
 import pytest
 
 from sphtor import (
+    Arc,
     CohomologyVector,
     HammockSide,
     IntervalKind,
     NoExtension,
     NonOrthogonalInput,
     NotInHammock,
+    RelationKind,
     arc,
     arcs_in_window,
     cohomology,
@@ -16,13 +18,16 @@ from sphtor import (
     ext_dim,
     exray_leq,
     extended_interval,
+    hammock_side,
     hom_dim,
+    is_admissible,
     middle_cohomology,
     middle_term_multi,
     middle_term_multi_by_iteration,
     middle_terms,
     ptolemy_arcs,
     ptolemy_closure,
+    relation,
     suspend,
 )
 from sphtor.arcs import QuiverCoord, from_coord
@@ -120,6 +125,68 @@ def test_ptolemy_equality_window(w, window_arcs):
     arcs = window_arcs(w, 9)
     for a, b in itertools.combinations_with_replacement(arcs, 2):
         assert e_set(a, b) == ptolemy_arcs(a, b).all, (a, b)
+
+
+def _ptolemy_by_relation(a, b):
+    """Connector classes I, II, III read through relation()."""
+    w = a.w
+    classes = (set(), set(), set())
+
+    def connect(k, x, y):
+        if is_admissible(w, x, y):
+            classes[k].add(arc(w, x, y))
+
+    if a == b:
+        if w == 0 and not a.is_loop:
+            classes[2].update({arc(w, a.t, a.t), arc(w, a.u, a.u)})
+        return classes
+    rel = relation(a, b)
+    if rel.kind is RelationKind.CROSSING:
+        for x in a.vertices:
+            for y in b.vertices:
+                connect(0, x, y)
+    elif rel.kind is RelationKind.NEIGHBOURING and w <= 0:
+        for p, q in rel.contacts:
+            connect(1, a.t + a.u - p, b.t + b.u - q)
+    elif rel.kind is RelationKind.ADJACENT:
+        x = rel.shared_vertex
+        classes[2].add(arc(w, x, x))
+        connect(2, a.t + a.u - x, b.t + b.u - x)
+    return classes
+
+
+def _middle_terms_by_side(a, b):
+    """(side, middles) of each extension class, from hammock_side and the end pairs."""
+    w = a.w
+    if ext_dim(b, a) == 0:
+        return []
+
+    def oriented(pairs):
+        # (t, u) is a middle only when admissible in that orientation
+        return tuple(sorted(
+            Arc(t, u, w) for t, u in pairs if is_admissible(w, t, u) and arc(w, t, u).t == t
+        ))
+
+    forward = oriented([(a.t, b.u), (b.t, a.u)])
+    side = hammock_side(b, a)
+    if side is HammockSide.BOTH_W0_SIGMA_A:
+        return [(HammockSide.FORWARD, forward), (HammockSide.BACKWARD, ())]
+    if side is HammockSide.FORWARD:
+        return [(side, forward)]
+    return [(side, oriented([(b.t, a.t), (b.u, a.u)]))]
+
+
+@pytest.mark.parametrize("w", (-5, -4, -3, -2, -1, 0, 2, 3, 4, 5))
+def test_pair_kernels_match_references(w, window_arcs):
+    # the class split and the side are what the CLI's ptolemy and middle print
+    arcs = window_arcs(w, 9)
+    for a in arcs:
+        for b in arcs:
+            pt = ptolemy_arcs(a, b)
+            expected = tuple(map(frozenset, _ptolemy_by_relation(a, b)))
+            assert (pt.class_i, pt.class_ii, pt.class_iii) == expected, (a, b)
+            got = [(cls.side, cls.middles) for cls in middle_terms(a, b)]
+            assert got == _middle_terms_by_side(a, b), (a, b)
 
 
 @pytest.mark.parametrize("w", (-3, -2, 3, 4))

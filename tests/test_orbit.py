@@ -298,6 +298,16 @@ def test_enumeration_guard_work_follows_sets_visited():
     assert len(calls) == len(set(calls)) < len(cat.objects)
 
 
+def test_enumeration_calls_e_set_once_per_unordered_pair():
+    cat = OrbitCategory(2, 5)
+    calls = []
+    e_set = cat.e_set
+    cat.e_set = lambda a, b: calls.append((a, b)) or e_set(a, b)
+    cat.torsion_classes()
+    k = len(cat.objects)
+    assert len(calls) <= k * (k + 1) // 2
+
+
 def _subset_scan(cat):
     """Sorted diagonal tuples of every subset closed under ``e_set``, by brute force."""
     objs = cat.objects

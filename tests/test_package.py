@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -27,3 +28,22 @@ def test_benchmark_selftest_passes():
         timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_benchmark_traced_run_reports_every_layer():
+    # a rename of a traced function breaks bench/tracing.py's shims; no timing bound
+    result = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", "finite_closures",
+         "--seed", "0", "--seconds", "0.5", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = [metric["name"] for metric in json.load(fh)["per_layer"]]
+    assert len(declared) == 36
+    assert set(declared) <= set(report["metrics"])
