@@ -7,7 +7,8 @@ the middle summands of both extensions), once the weights are checked, and
 :meth:`sphtor.orbit.OrbitCategory.closure` feeds it orbit-category middle
 terms.  Finite arc sets close without leaving their own endpoint set, so the
 fixpoint is finite and cheap.  ``_closed_sets`` lists every closed set of a
-finite universe by NextClosure over the engine, up to ``MAX_CLOSED_SETS``.
+finite universe by Close-by-One with incremental closure on bitsets, up to
+``MAX_CLOSED_SETS``.
 Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
 plus partial-fountain generators); their closure is computed on
 instantiation windows and promoted back to fountain form, with a
@@ -24,7 +25,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Option
 from .arcs import Arc, arc, arcs_in_window, is_admissible, to_coord, translation_step
 from .errors import InvalidArc, NonConvergence, TooLarge, WeightMismatch
 from .extensions import _both_middles, _connectors_ints
-from .hammocks import hom_dim
+from .hammocks import _hom_nonzero_ints
 
 DEFAULT_WINDOW = 40
 MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 objects
@@ -66,23 +67,73 @@ def _close(seed: Iterable, pair_rule: Callable[..., Iterable]) -> FrozenSet:
 def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> Iterable[FrozenSet[int]]:
     """Every subset of ``range(k)`` closed under ``pair_rule``, in lectic order.
 
-    Ganter's NextClosure over ``_close``: the successor of a closed set A is
-    the closure of A's members below i plus i, for the largest i not in A
-    whose closure adds nothing below i.  That takes at most k closures per
-    set.  Raises ``TooLarge`` rather than yield more than ``MAX_CLOSED_SETS``.
+    Close-by-One with incremental closure: the children of a closed set A,
+    found by adding i, are the closures of A plus i for i above the index
+    that produced A, kept when nothing below i joins (the canonicity test).
+    A child's closure only fires the pairs that touch its new members, and
+    stops at the first member below i.  Children are tried in descending i,
+    depth first, which is lectic order.  ``pair_rule`` must be symmetric:
+    each cell is asked for once, as a bitmask, when the search first needs
+    it.  Raises ``TooLarge`` rather than yield more than ``MAX_CLOSED_SETS``.
     """
-    current = _close((), pair_rule)
-    for _ in range(MAX_CLOSED_SETS):
-        yield current
-        for i in reversed(range(k)):
-            if i not in current:
-                successor = _close([j for j in current if j < i] + [i], pair_rule)
-                if min(successor - current) == i:
-                    current = successor
-                    break
-        else:
-            return
-    raise TooLarge(f"refusing to list more than {MAX_CLOSED_SETS} closed sets")
+    rows: List[Optional[List[Optional[int]]]] = [None] * k
+
+    def row(x: int) -> List[Optional[int]]:
+        cells = rows[x]
+        if cells is None:
+            cells = rows[x] = [None] * k
+        return cells
+
+    def extend(mask: int, members: List[int], i: int) -> Optional[Tuple[int, List[int], int]]:
+        """Closure of the closed set ``members`` plus i, or None if not canonical."""
+        below = (1 << i) - 1
+        mask |= 1 << i
+        members = members + [i]
+        p = len(members) - 1
+        while p < len(members):
+            x = members[p]
+            cells = row(x)
+            acc = 0
+            for y in members[: p + 1]:
+                cell = cells[y]
+                if cell is None:
+                    cell = 0
+                    for z in pair_rule(x, y):
+                        cell |= 1 << z
+                    cells[y] = row(y)[x] = cell
+                acc |= cell
+            new = acc & ~mask
+            if new:
+                if new & below:
+                    return None
+                mask |= new
+                while new:
+                    low = new & -new
+                    members.append(low.bit_length() - 1)
+                    new ^= low
+            p += 1
+        return mask, members, i
+
+    def children(mask: int, members: List[int], last: int):
+        for i in range(k - 1, last, -1):
+            if not mask >> i & 1:
+                child = extend(mask, members, i)
+                if child is not None:
+                    yield child
+
+    yield frozenset()
+    count = 1
+    stack = [children(0, [], -1)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        if count == MAX_CLOSED_SETS:
+            raise TooLarge(f"refusing to list more than {MAX_CLOSED_SETS} closed sets")
+        count += 1
+        yield frozenset(child[1])
+        stack.append(children(*child))
 
 
 def _weighted(w: int, arcs_in: Iterable[Arc]) -> Set[Arc]:
@@ -383,23 +434,28 @@ def _closedness_witness(ds: DescriptorSet, closed: DescriptorSet, lo: int, hi: i
     ordered = sorted(present)
     for a in ordered:
         for b in ordered:
-            # the first missing connector in set order, as ptolemy_arcs(a, b).all lists them
-            for m in frozenset(_connectors_ints(ds.w, a.t, a.u, b.t, b.u)[1]):
-                if m not in present and not any(f.covers(ds.w, m) for f in ds.fountains):
-                    return (a, b), m
+            missing = [
+                m
+                for m in _connectors_ints(ds.w, a.t, a.u, b.t, b.u)[1]
+                if m not in present and not any(f.covers(ds.w, m) for f in ds.fountains)
+            ]
+            if missing:
+                # the least, so the witness depends on the inputs alone
+                return (a, b), min(missing)
     return None, None
 
 
 def _perp_sample(ds: DescriptorSet, lo: int, hi: int) -> Tuple[Arc, ...]:
     # Hammock membership against a fountain stabilizes once the moving
     # endpoint clears the window, so a margin instantiation decides the check.
-    margin = (hi - lo) + 3 * abs(translation_step(ds.w)) + abs(ds.w) + 4
+    w = ds.w
+    margin = (hi - lo) + 3 * abs(translation_step(w)) + abs(w) + 4
     generators = ds.instantiate(lo - margin, hi + margin)
-    out = []
-    for b in arcs_in_window(ds.w, lo, hi):
-        if all(hom_dim(x, b) == 0 for x in generators):
-            out.append(b)
-    return tuple(out)
+    return tuple(
+        b
+        for b in arcs_in_window(w, lo, hi)
+        if not any(_hom_nonzero_ints(w, x.t, x.u, b.t, b.u) for x in generators)
+    )
 
 
 def is_torsion_class(ds: DescriptorSet, window: Optional[int] = None) -> TorsionReport:

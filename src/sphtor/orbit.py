@@ -9,7 +9,8 @@ an N-gon, N = m(n+1) - 2, that cut it into pieces with vertex counts
 divisible by m.  The derived-category construction is authoritative; the
 polygon layer is a validated view (construction fails hard if the counts or
 the rotation equivariance do not come out).  Torsion classes are the closed
-sets of the closure module's one engine, listed by NextClosure.
+sets of the closure module's one engine, listed by Close-by-One with
+incremental closure.
 """
 
 from __future__ import annotations
@@ -377,29 +378,16 @@ class OrbitCategory:
         """All torsion classes, as sorted diagonal tuples in lexicographic order.
 
         Every extension-closed subset qualifies (the category is finite, so
-        approximations exist for free).  NextClosure lists them from a table
-        of ``e_set`` on object indices, or raises ``TooLarge`` past 2^16.  The
-        table is filled as the enumeration reaches its cells, so the work
-        before ``TooLarge`` follows the sets visited, not the object count.
+        approximations exist for free).  Close-by-One lists them over
+        ``e_set`` on object indices, or raises ``TooLarge`` past 2^16.
+        ``e_set`` is called once per unordered pair the enumeration reaches,
+        so the work before ``TooLarge`` follows the sets visited, not the
+        object count.
         """
         objs = self.objects
-        k = len(objs)
         index = {x: i for i, x in enumerate(objs)}
-        rows: List = [None] * k
-
-        def rule(i: int, j: int) -> Tuple[int, ...]:
-            row = rows[i]
-            cell = None if row is None else row[j]
-            if cell is None:
-                cell = tuple(index[x] for x in self.e_set(objs[i], objs[j]))
-                # e_set is symmetric: one call fills both cells
-                for p, q in ((i, j), (j, i)):
-                    if rows[p] is None:
-                        rows[p] = [None] * k
-                    rows[p][q] = cell
-            return cell
-
         diagonals = [self.to_diagonal(x) for x in objs]
-        return sorted(
-            tuple(sorted(diagonals[i] for i in cls)) for cls in _closed_sets(k, rule)
+        classes = _closed_sets(
+            len(objs), lambda i, j: [index[x] for x in self.e_set(objs[i], objs[j])]
         )
+        return sorted(tuple(sorted(diagonals[i] for i in cls)) for cls in classes)

@@ -181,6 +181,15 @@ def test_torsion_reports():
     assert rep3.note
 
 
+def test_not_closed_witness_is_the_least_missing_connector():
+    # the crossing pair misses two connectors, (-4, 1) and (-2, 1)
+    ds = DescriptorSet(2, [arc(2, -4, -2), arc(2, -3, 1)])
+    rep = is_torsion_class(ds, window=12)
+    assert rep.witness_pair == (arc(2, -4, -2), arc(2, -3, 1))
+    assert rep.missing_arc == arc(2, -4, 1)
+    assert arc(2, -2, 1) in ptolemy_closure(2, ds.arcs)
+
+
 def test_torsion_class_double_fountain():
     ds = DescriptorSet(
         -1,
@@ -192,10 +201,13 @@ def test_torsion_class_double_fountain():
     )
     rep = is_torsion_class(ds, window=12)
     assert rep.verdict is Verdict.TORSION_CLASS
-    # the perp sample is genuinely hom-free against a margin instantiation
+    # the perp sample is exactly the window arcs that are hom-free against a
+    # wide instantiation
     gens = ds.instantiate(-60, 60)
-    for perp in rep.perp_sample:
-        assert all(hom_dim(x, perp) == 0 for x in gens)
+    assert rep.perp_sample == tuple(
+        b for b in arcs_in_window(-1, -13, 13) if all(hom_dim(x, b) == 0 for x in gens)
+    )
+    assert rep.perp_sample
 
 
 @pytest.mark.parametrize("w", ALL_WEIGHTS)

@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphtor as s
-from sphtor.closure import MAX_CLOSED_SETS, _closed_sets
+from sphtor.closure import MAX_CLOSED_SETS, _close, _closed_sets
 from sphtor import (
     IntervalObject,
     MDiagonal,
@@ -269,6 +271,8 @@ FROZEN_TORSION_COUNTS = {
     (4, 2): 834,
     (5, 2): 10302,
     (3, 4): 21170,
+    (2, 7): 43721,
+    (4, 3): 44007,
 }
 
 
@@ -279,6 +283,56 @@ def test_torsion_enumeration_counts(n, m):
     assert len(classes) == FROZEN_TORSION_COUNTS[(n, m)]
     assert classes == sorted(classes)
     assert () in classes and tuple(sorted(cat.diagonals)) in classes
+
+
+@pytest.mark.parametrize("m", range(2, 18))
+def test_torsion_counts_for_one_vertex(m):
+    # n = 1: every subset of the m - 1 objects is closed
+    assert len(OrbitCategory(1, m).torsion_classes()) == 2 ** (m - 1)
+
+
+def _next_closure(k, pair_rule):
+    """Ganter's NextClosure over ``_close``: the reference lectic order."""
+    current = _close((), pair_rule)
+    while True:
+        yield current
+        for i in reversed(range(k)):
+            if i not in current:
+                successor = _close([j for j in current if j < i] + [i], pair_rule)
+                if min(successor - current) == i:
+                    current = successor
+                    break
+        else:
+            return
+
+
+@st.composite
+def symmetric_rules(draw):
+    k = draw(st.integers(0, 10))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4]))
+    table = [[()] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            if draw(st.floats(0, 1)) < density:
+                cell = tuple(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=3)))
+                table[i][j] = table[j][i] = cell
+    return k, table
+
+
+@given(symmetric_rules())
+@settings(max_examples=200, deadline=None)
+def test_closed_sets_follow_next_closure(case):
+    k, table = case
+    rule = lambda i, j: table[i][j]
+    assert list(_closed_sets(k, rule)) == list(_next_closure(k, rule))
+
+
+def test_closed_sets_refuse_past_the_cap():
+    # a rule that adds nothing closes all 2^17 subsets of 17 elements
+    assert len(list(_closed_sets(16, lambda i, j: ()))) == MAX_CLOSED_SETS
+    with pytest.raises(TooLarge, match=str(MAX_CLOSED_SETS)):
+        for _ in _closed_sets(17, lambda i, j: ()):
+            pass
 
 
 def test_enumeration_guard():
@@ -352,7 +406,7 @@ def _closed_families(cat):
     )
 
 
-@pytest.mark.parametrize("n,m", [(5, 2), (3, 4)])
+@pytest.mark.parametrize("n,m", [(5, 2), (3, 4), (2, 7), (4, 3)])
 def test_theorem_b_past_subset_scan(n, m):
     # extension-closed = Ptolemy-closed beyond criterion 9's 2^16 subsets
     extension_closed, ptolemy_closed = _closed_families(OrbitCategory(n, m))

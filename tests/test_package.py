@@ -47,3 +47,18 @@ def test_benchmark_traced_run_reports_every_layer():
         declared = [metric["name"] for metric in json.load(fh)["per_layer"]]
     assert len(declared) == 36
     assert set(declared) <= set(report["metrics"])
+
+
+def test_benchmark_orbit_enumerate_answers_check():
+    # every torsion_classes answer of one round must pass the benchmark's checks
+    result = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", "orbit_enumerate",
+         "--seed", "0", "--seconds", "0.5", "--trace", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0
