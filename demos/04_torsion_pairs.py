@@ -45,5 +45,11 @@ ds = DescriptorSet(2, [arc(2, -2, 1)], [FountainDescriptor(0, FountainSide.RIGHT
 grown = symbolic_closure(ds)
 spots = sorted({(f.vertex, f.side.value) for f in grown.fountains})
 print("fountain spots after closing:", spots[:6], "...")
-print("note: promotion is validated by window doubling;",
-      "the report flags it:", repr(is_torsion_class(ds, window=8).note))
+
+print()
+print("=== verdicts check pairs on a bounded window and never close ===")
+ds = DescriptorSet(2, [arc(2, -5, 6), arc(2, -1, 6), arc(2, 3, 6)],
+                   [FountainDescriptor(4, FountainSide.LEFT, 0)])
+rep = is_torsion_class(ds, window=8)
+print(f"three arcs and a left fountain: {rep.verdict.value},",
+      f"witness {rep.witness_pair} missing {rep.missing_arc}")

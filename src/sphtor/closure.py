@@ -10,9 +10,9 @@ fixpoint is finite and cheap.  ``_closed_sets`` lists every closed set of a
 finite universe by Close-by-One with incremental closure on bitsets, up to
 ``MAX_CLOSED_SETS``.
 Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
-plus partial-fountain generators); their closure is computed on
-instantiation windows and promoted back to fountain form, with a
-window-doubling stability check guarding the promotion heuristic.
+plus partial-fountain generators).  ``is_torsion_class`` decides them
+exactly by a pair check on a bounded instantiation; ``symbolic_closure``
+closes them on windows, promoting runs back to fountains by a heuristic.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .arcs import Arc, arc, arcs_in_window, is_admissible, to_coord, translation_step
-from .errors import InvalidArc, NonConvergence, TooLarge, WeightMismatch
+from .errors import InvalidArc, NonConvergence, TooLarge, WeightMismatch, _json_int
 from .extensions import _both_middles, _connectors_ints
 from .hammocks import _hom_nonzero_ints
 
@@ -290,10 +290,17 @@ class DescriptorSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DescriptorSet":
-        w = data["w"]
-        arcs_in = [arc(w, x, y) for x, y in data.get("arcs", [])]
+        w = _json_int(data["w"], "w")
+        arcs_in = [
+            arc(w, _json_int(x, "an arc endpoint"), _json_int(y, "an arc endpoint"))
+            for x, y in data.get("arcs", [])
+        ]
         fountains = [
-            FountainDescriptor(f["vertex"], FountainSide(f["side"]), f["from"])
+            FountainDescriptor(
+                _json_int(f["vertex"], "a fountain vertex"),
+                FountainSide(f["side"]),
+                _json_int(f["from"], "a fountain start"),
+            )
             for f in data.get("fountains", [])
         ]
         return cls(w, arcs_in, fountains)
@@ -345,9 +352,7 @@ def _agree(x: DescriptorSet, y: DescriptorSet, lo: int, hi: int) -> bool:
     return x.same_arcs(y, lo, hi) and signature(x) == signature(y)
 
 
-def symbolic_closure(
-    ds: DescriptorSet, max_doublings: int = 5, min_radius: int = 0
-) -> DescriptorSet:
+def symbolic_closure(ds: DescriptorSet, max_doublings: int = 5) -> DescriptorSet:
     """Closure of a descriptor set, stable under doubling the window.
 
     The finite case is the plain fixpoint.  With fountains, the presented set
@@ -364,21 +369,14 @@ def symbolic_closure(
     d = translation_step(ds.w)
     seed = set(ds.arcs) | {arc(ds.w, f.vertex, f.start) for f in ds.fountains}
     max_level = max((to_coord(a).level for a in seed), default=0)
-    radius = max(4 * abs(d) * (max_level + 1), min_radius, 4)
+    radius = max(4 * abs(d) * (max_level + 1), 4)
     lo0, hi0 = ds.span()
-    cache: Dict[int, DescriptorSet] = {}
-
-    def run(r: int) -> DescriptorSet:
-        if r not in cache:
-            cache[r] = _closure_at_window(ds, r)
-        return cache[r]
-
+    small = _closure_at_window(ds, radius)
     for _ in range(max_doublings):
-        small = run(radius)
-        big = run(2 * radius)
+        big = _closure_at_window(ds, 2 * radius)
         if _agree(small, big, lo0 - radius // 2, hi0 + radius // 2):
             return big
-        radius *= 2
+        small, radius = big, 2 * radius
     raise NonConvergence(
         f"descriptor closure did not stabilize after {max_doublings} window doublings"
     )
@@ -414,14 +412,12 @@ class Verdict(Enum):
 class TorsionReport(NamedTuple):
     """Outcome of the torsion-class test, with a re-checkable witness.
 
-    ``perp_sample`` lists the window arcs receiving no nonzero map from the
-    candidate class; it is a sample, complete only inside the window.  The
-    fountain-promotion step behind symbolic closures is an empirically
-    validated construction, which ``note`` records.
+    The verdict is exact and window-independent.  ``perp_sample`` lists the
+    window arcs receiving no nonzero map from the candidate class; it is a
+    sample, complete only inside the window.  ``note`` is always empty.
     """
 
     verdict: Verdict
-    closure: DescriptorSet
     witness_pair: Optional[Tuple[Arc, Arc]] = None
     missing_arc: Optional[Arc] = None
     witness_fountain: Optional[FountainDescriptor] = None
@@ -429,7 +425,26 @@ class TorsionReport(NamedTuple):
     note: str = ""
 
 
-def _closedness_witness(ds: DescriptorSet, closed: DescriptorSet, lo: int, hi: int):
+def _closedness_margin(w: int) -> int:
+    """Radius M(w) beyond the span within which every unclosed pair shows.
+
+    A member has at most one endpoint outside the span (finite arcs lie in
+    it, and so do a fountain's vertex and start), so a pair of members has
+    at most 2 endpoints beyond the span on each side, and its connectors use
+    no others.  Let g = |w| + |w-1| + 2.  A gap wider than g, from the
+    span's edge to the first such endpoint or between the two, can shrink
+    by multiples of |w-1| to at most g by shifting every endpoint beyond it.
+    That keeps the order of the endpoints, their residues mod |w-1|, every
+    distance-1 contact, every length >= |w| (an arc across a gap is longer)
+    and fountain membership (a member past the span stays past its start).
+    So every unclosed pair has a copy, with its missing connector, within
+    2g of the span, inside M(w) = 2(g + |w-1|).
+    """
+    return 2 * (abs(w) + 2 * abs(w - 1) + 2)
+
+
+def _closedness_witness(ds: DescriptorSet, lo: int, hi: int):
+    """The first pair inside [lo, hi] that misses a connector, and the least it misses."""
     present = ds.instantiate(lo, hi)
     ordered = sorted(present)
     for a in ordered:
@@ -461,39 +476,23 @@ def _perp_sample(ds: DescriptorSet, lo: int, hi: int) -> Tuple[Arc, ...]:
 def is_torsion_class(ds: DescriptorSet, window: Optional[int] = None) -> TorsionReport:
     """Decide whether a descriptor set presents a torsion class.
 
-    The verdict is positive exactly when the set equals its own symbolic
-    closure and passes the fountain criterion; otherwise the report carries
-    the violated pair and missing arc, or the one-sided fountain.
+    Ptolemy-closed plus the fountain criterion, with no closure computed: a
+    member pair with a missing connector, searched on the report window and
+    then on the margin of :func:`_closedness_margin`, gives ``NOT_CLOSED``;
+    else a one-sided wrong-side fountain gives ``NOT_CONTRAVARIANTLY_FINITE``;
+    else ``TORSION_CLASS``.  The verdict does not depend on the window.
     """
     radius = window if window is not None else report_window()
     lo0, hi0 = ds.span()
-    lo, hi = lo0 - radius, hi0 + radius
-    note = (
-        "fountain promotion is validated by window doubling, not proved"
-        if ds.fountains
-        else ""
-    )
-    closed = symbolic_closure(ds, min_radius=radius)
-    if not _agree(closed, ds, lo, hi):
-        pair, missing = _closedness_witness(ds, closed, lo, hi)
-        if pair is None:
-            # new content only at fountain level: surface the first new fountain
-            new = sorted(closed.fountains - ds.fountains)
-            return TorsionReport(
-                Verdict.NOT_CLOSED,
-                closed,
-                witness_fountain=new[0] if new else None,
-                note=note,
-            )
-        return TorsionReport(
-            Verdict.NOT_CLOSED, closed, witness_pair=pair, missing_arc=missing, note=note
-        )
+    pair, missing = _closedness_witness(ds, lo0 - radius, hi0 + radius)
+    margin = _closedness_margin(ds.w)
+    if pair is None and ds.fountains and margin > radius:
+        pair, missing = _closedness_witness(ds, lo0 - margin, hi0 + margin)
+    if pair is not None:
+        return TorsionReport(Verdict.NOT_CLOSED, witness_pair=pair, missing_arc=missing)
     bad = _unmatched_fountain(ds)
     if bad is not None:
-        return TorsionReport(
-            Verdict.NOT_CONTRAVARIANTLY_FINITE, closed, witness_fountain=bad, note=note
-        )
+        return TorsionReport(Verdict.NOT_CONTRAVARIANTLY_FINITE, witness_fountain=bad)
     return TorsionReport(
-        Verdict.TORSION_CLASS, closed, perp_sample=_perp_sample(ds, lo0 - radius, hi0 + radius),
-        note=note,
+        Verdict.TORSION_CLASS, perp_sample=_perp_sample(ds, lo0 - radius, hi0 + radius)
     )

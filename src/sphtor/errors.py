@@ -55,3 +55,10 @@ class ValidationFailure(SphtorError):
 
 class TooLarge(SphtorError):
     """Raised when an exhaustive enumeration would exceed its guard size."""
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; ValueError for floats, bools and the rest."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import NoExtension
+from .errors import NoExtension, _json_int
 
 
 class TubeObject(NamedTuple):
@@ -99,12 +99,14 @@ class T1Descriptor(NamedTuple):
     def from_json_dict(cls, data: dict) -> "T1Descriptor":
         pattern = data["pattern"]
         if pattern == "upper":
-            return cls("upper", n=int(data["n"]))
+            return cls("upper", n=_json_int(data["n"], "n"))
         if pattern == "explicit":
             tubes: Dict[int, TubeContent] = {}
             for shift, content in data.get("tubes", {}).items():
                 tubes[int(shift)] = (
-                    "all" if content == "all" else frozenset(int(x) for x in content)
+                    "all"
+                    if content == "all"
+                    else frozenset(_json_int(x, "a tube level") for x in content)
                 )
             return cls("explicit", tubes=tubes)
         if pattern in ("empty", "all"):

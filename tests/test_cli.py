@@ -219,6 +219,13 @@ BAD_INPUTS = {
     "missing_file": (("torsion", "--in", "{tmp}/missing.json"), 64),
     "malformed_json": (("torsion", "--in", "{tmp}/malformed.json"), 64),
     "no_weight": (("torsion", "--in", "{tmp}/no_weight.json"), 64),
+    "float_endpoint": (("torsion", "--in", "{tmp}/float_endpoint.json"), 64),
+    "float_weight": (("torsion", "--in", "{tmp}/float_weight.json"), 64),
+    "bool_weight": (("torsion", "--in", "{tmp}/bool_weight.json"), 64),
+    "float_fountain": (("torsion", "--in", "{tmp}/float_fountain.json"), 64),
+    "t1_float_n": (("t1", "classify", "--pattern", "upper", "--in", "{tmp}/t1_float_n.json"), 64),
+    "t1_float_level": (("t1", "classify", "--pattern", "explicit", "--in",
+                        "{tmp}/t1_float_level.json"), 64),
     "t1_negative_level": (("t1", "hom", "--a", "0,-1", "--b", "0,0"), 64),
     "render_non_diagonal": (("render", "--n", "3", "--m", "2", "--diagonals", "1,3"), 2),
 }
@@ -227,7 +234,17 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_exit_code(tmp_path, capsys, name):
     (tmp_path / "malformed.json").write_text('{"w": 2, "arcs": [[0, 3], ')
-    (tmp_path / "no_weight.json").write_text(json.dumps({"arcs": [[0, 3]], "fountains": []}))
+    documents = {
+        "no_weight": {"arcs": [[0, 3]], "fountains": []},
+        "float_endpoint": {"w": 2, "arcs": [[0, 3.0]]},
+        "float_weight": {"w": 2.5},
+        "bool_weight": {"w": True, "arcs": [[0, 1]]},
+        "float_fountain": {"w": 2, "fountains": [{"vertex": 0, "side": "right", "from": 2.0}]},
+        "t1_float_n": {"w": 1, "pattern": "upper", "n": 2.5},
+        "t1_float_level": {"w": 1, "pattern": "explicit", "tubes": {"0": [1.5]}},
+    }
+    for stem, doc in documents.items():
+        (tmp_path / f"{stem}.json").write_text(json.dumps(doc))
     words, expected = BAD_INPUTS[name]
     code, out, err = invoke(capsys, *(w.replace("{tmp}", str(tmp_path)) for w in words))
     assert code == expected and out == ""

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphtor import (
     DescriptorSet,
@@ -14,11 +16,17 @@ from sphtor import (
     arcs_in_window,
     extension_closure_oracle,
     hom_dim,
+    is_admissible,
     is_contravariantly_finite,
     is_torsion_class,
+    ptolemy_arcs,
     ptolemy_closure,
     symbolic_closure,
 )
+
+from sphtor.arcs import QuiverCoord, from_coord
+from sphtor.closure import _closedness_margin
+from sphtor.extensions import _both_middles
 
 from conftest import ALL_WEIGHTS, random_arc_sets
 
@@ -178,7 +186,7 @@ def test_torsion_reports():
     )
     assert rep3.verdict is Verdict.NOT_CONTRAVARIANTLY_FINITE
     assert rep3.witness_fountain.vertex == 0
-    assert rep3.note
+    assert rep3.note == ""
 
 
 def test_not_closed_witness_is_the_least_missing_connector():
@@ -210,6 +218,75 @@ def test_torsion_class_double_fountain():
     assert rep.perp_sample
 
 
+RUNAWAY = {"w": 2, "arcs": [[-5, 6], [-1, 6], [3, 6]],
+           "fountains": [{"vertex": 4, "side": "left", "from": 0}]}
+TWO_SIDED_W0 = {"w": 0, "arcs": [], "fountains": [{"vertex": 0, "side": "left", "from": -1},
+                                                  {"vertex": 0, "side": "right", "from": 1}]}
+
+
+def test_verdicts_take_no_closure(tmp_path, capsys, monkeypatch):
+    import sphtor.closure as closure
+    from sphtor.cli import run
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_torsion_class must not close")
+
+    monkeypatch.setattr(closure, "symbolic_closure", refuse)
+    monkeypatch.setattr(closure, "ptolemy_closure", refuse)
+    for doc, window in ((RUNAWAY, "8"), (TWO_SIDED_W0, "40")):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(doc))
+        code = run(["torsion", "--in", str(path), "--window", window, "--format", "json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["verdict"] == "not_closed"
+        # the witness replays: both arcs are members, the missing arc is a
+        # connector of theirs and no member
+        ds = DescriptorSet.from_json_dict(doc)
+        a, b = (arc(ds.w, *p) for p in out["witness_pair"])
+        missing = arc(ds.w, *out["missing_arc"])
+        members = ds.instantiate(-100, 100)
+        assert a in members and b in members
+        assert missing in set().union(*ptolemy_arcs(a, b))
+        assert missing not in members
+
+
+def _both_ways_closed(w, members):
+    """Closedness of a finite set by the extension route, no connector kernel."""
+    ordered = sorted(members)
+    return all(
+        m in members
+        for i, a in enumerate(ordered)
+        for b in ordered[i:]
+        for m in _both_middles(w, a, b)
+    )
+
+
+@st.composite
+def fountain_descriptors(draw):
+    w = draw(st.sampled_from(ALL_WEIGHTS))
+    lengths = [n for n in range(1, abs(w) + 3 * abs(w - 1) + 1) if is_admissible(w, 0, n)]
+    pool = sorted(arcs_in_window(w, -5, 5))
+    arcs_in = draw(st.lists(st.sampled_from(pool), max_size=3))
+    fountains = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = draw(st.integers(-5, 5))
+        n = draw(st.sampled_from(lengths))
+        side = draw(st.sampled_from(list(FountainSide)))
+        fountains.append(FountainDescriptor(v, side, v + n if side is FountainSide.RIGHT else v - n))
+    return DescriptorSet(w, arcs_in, fountains)
+
+
+@given(fountain_descriptors(), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_closedness_verdict_is_exact(ds, window):
+    # a window of four margins holds a copy of every unclosed pair with room to spare
+    reach = 4 * _closedness_margin(ds.w)
+    lo0, hi0 = ds.span()
+    closed = _both_ways_closed(ds.w, ds.instantiate(lo0 - reach, hi0 + reach))
+    verdict = is_torsion_class(ds, window=window).verdict
+    assert (verdict is not Verdict.NOT_CLOSED) == closed, ds
+
+
 @pytest.mark.parametrize("w", ALL_WEIGHTS)
 def test_every_finite_closed_set_is_a_torsion_class(w):
     for sample in random_arc_sets(w, 6, 25, 4, seed_base=31 * w):
@@ -224,12 +301,6 @@ def test_symbolic_closure_reports_nonconvergence_when_windows_disagree():
     )
     with pytest.raises(NonConvergence):
         symbolic_closure(ds, max_doublings=0)
-
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from sphtor.arcs import QuiverCoord, from_coord
 
 
 @st.composite

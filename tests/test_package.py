@@ -4,6 +4,8 @@ import subprocess
 import sys
 from types import ModuleType
 
+import pytest
+
 import sphtor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -49,10 +51,12 @@ def test_benchmark_traced_run_reports_every_layer():
     assert set(declared) <= set(report["metrics"])
 
 
-def test_benchmark_orbit_enumerate_answers_check():
-    # every torsion_classes answer of one round must pass the benchmark's checks
+@pytest.mark.parametrize("workload", ["orbit_enumerate", "torsion_verdicts", "cli_requests"])
+def test_benchmark_answers_check(workload):
+    # every answer of one round must pass the benchmark's checks: torsion_classes
+    # listings, verdicts with replayed witnesses, CLI payloads
     result = subprocess.run(
-        [sys.executable, os.path.join("bench", "run.py"), "--workload", "orbit_enumerate",
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
          "--seed", "0", "--seconds", "0.5", "--trace", "0"],
         cwd=ROOT,
         capture_output=True,
