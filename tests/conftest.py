@@ -1,3 +1,4 @@
+import argparse
 import random
 
 import pytest
@@ -26,3 +27,14 @@ def random_arc_sets(w, radius, count, max_size, seed_base):
     for seed in range(count):
         rng = random.Random(seed_base + seed)
         yield rng.sample(pool, rng.randint(0, max_size))
+
+
+def cli_leaves(parser, path=()):
+    """Map each leaf subcommand path, e.g. ('orbit', 'list'), to its parser."""
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        return {path: parser}
+    leaves = {}
+    for name, sub in subcommands[0].choices.items():
+        leaves.update(cli_leaves(sub, path + (name,)))
+    return leaves
