@@ -114,25 +114,211 @@ def _diag_list(text: str) -> List[MDiagonal]:
     return [_diag(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-def _write(args, data: str) -> None:
-    """Write to the --out file, or to stdout; an unwritable file is a usage error."""
+def _emit(args, text: str, payload) -> None:
+    """Write text, or the payload under --format json, to --out or stdout.
+
+    A None payload marks text that is the output in both formats, written as
+    it is.  An unwritable --out file is a usage error.
+    """
+    if payload is not None:
+        text = (text if args.format == "text" else json.dumps(payload, sort_keys=True)) + "\n"
     if not args.out:
-        sys.stdout.write(data)
+        sys.stdout.write(text)
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(data)
+            fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
-def _emit(args, text: str, payload) -> None:
-    data = text if args.format == "text" else json.dumps(payload, sort_keys=True)
-    _write(args, data + "\n")
+def _arcs_json(arcs) -> list:
+    return [[a.t, a.u] for a in sorted(arcs)]
 
 
-def _arc_json(a) -> list:
-    return [a.t, a.u]
+def _dim(dim: int):
+    return str(dim), {"dim": dim}
+
+
+# -- handlers: one per leaf subcommand, each returning (text, payload) --------
+
+
+def _admissible(args):
+    ok = is_admissible(args.w, *_pair(args.arc))
+    return "admissible" if ok else "not admissible", {"admissible": ok}
+
+
+def _act(args):
+    out = apply_functor(args.functor, args.k, arc(args.w, *_pair(args.arc)))
+    return str(out), {"arc": [out.t, out.u]}
+
+
+def _arc_pair(args) -> tuple:
+    return arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
+
+
+def _hom(args):
+    return _dim(hom_dim(*_arc_pair(args)))
+
+
+def _ext(args):
+    a, b = _arc_pair(args)
+    return _dim(ext_dim(b, a))
+
+
+def _middle(args):
+    classes = middle_terms(*_arc_pair(args))
+    text = "\n".join(
+        f"{cls.side.value}: " + (" + ".join(map(str, cls.middles)) or "0")
+        for cls in classes
+    ) or "no extension"
+    return text, {"classes": [{"side": cls.side.value, "middles": _arcs_json(cls.middles)}
+                              for cls in classes]}
+
+
+def _eset(args):
+    arcs = sorted(e_set(*_arc_pair(args)))
+    return " ".join(map(str, arcs)) or "(empty)", {"arcs": _arcs_json(arcs)}
+
+
+def _ptolemy(args):
+    pt = ptolemy_arcs(*_arc_pair(args))
+    groups = (("I", pt.class_i), ("II", pt.class_ii), ("III", pt.class_iii))
+    text = "\n".join(
+        f"class {label}: " + (" ".join(map(str, sorted(group))) or "(empty)")
+        for label, group in groups
+    )
+    return text, {f"class_{label.lower()}": _arcs_json(group) for label, group in groups}
+
+
+def _closure(args):
+    closed = sorted(ptolemy_closure(args.w, _arc_list(args.w, args.arcs)))
+    return " ".join(map(str, closed)) or "(empty)", {"w": args.w, "arcs": _arcs_json(closed)}
+
+
+def _torsion(args):
+    ds = _read_document(args.infile, DescriptorSet.from_json_dict)
+    try:
+        window = args.window if args.window is not None else report_window()
+    except ValueError as exc:  # a bad SPHTOR_WINDOW
+        raise UsageError(str(exc)) from None
+    rep = is_torsion_class(ds, window=window)
+    f = rep.witness_fountain
+    text = rep.verdict.value
+    if rep.witness_pair:
+        text += f" witness={rep.witness_pair[0]},{rep.witness_pair[1]} missing={rep.missing_arc}"
+    if f:
+        text += f" fountain=({f.vertex},{f.side.value})"
+    payload = {
+        "verdict": rep.verdict.value,
+        # the pair keeps its order: the missing arc is a connector of (first, second)
+        "witness_pair": [[a.t, a.u] for a in rep.witness_pair] if rep.witness_pair else None,
+        "missing_arc": [rep.missing_arc.t, rep.missing_arc.u] if rep.missing_arc else None,
+        "witness_fountain": {"vertex": f.vertex, "side": f.side.value} if f else None,
+        "perp_sample": _arcs_json(rep.perp_sample),
+        "note": rep.note,
+    }
+    return text, payload
+
+
+def _t1_classify(args):
+    if args.infile:
+        desc = _read_document(args.infile, T1Descriptor.from_json_dict)
+    elif args.pattern == "upper":
+        if args.n is None:
+            raise UsageError("upper pattern requires --n")
+        desc = T1Descriptor("upper", n=args.n)
+    elif args.pattern == "explicit":
+        raise UsageError("explicit pattern requires --in FILE.json")
+    else:
+        desc = T1Descriptor(args.pattern)
+    verdict = t1_classify(desc)
+    return str(verdict), {"verdict": verdict.kind, "n": verdict.n}
+
+
+def _t1_hom(args):
+    return _dim(t1_hom_dim(_tube_object(args.a), _tube_object(args.b)))
+
+
+def _t1_extensions(args):
+    if args.r < 0:
+        raise UsageError(f"tube levels must be nonnegative, got --r {args.r}")
+    fams = t1_extensions(args.r, _tube_object(args.target))
+    text = "\n".join(
+        " + ".join(f"X_{x.level}@{x.shift}" for x in fam) if fam else "0"
+        for fam in fams
+    )
+    return text, {"families": [[[x.shift, x.level] for x in fam] for fam in fams]}
+
+
+def _orbit_pair(args) -> tuple:
+    cat = OrbitCategory(args.n, args.m)
+    return cat, cat.from_diagonal(_diag(args.a)), cat.from_diagonal(_diag(args.b))
+
+
+def _orbit_list(args):
+    cat = OrbitCategory(args.n, args.m)
+    rows = sorted((cat.to_diagonal(x), x) for x in cat.objects)
+    text = "\n".join(f"{d}  <->  {x}" for d, x in rows)
+    return text, {"n": args.n, "m": args.m, "N": cat.N,
+                  "diagonals": [[d.i, d.j] for d, _ in rows],
+                  "objects": [[x.degree, x.lo, x.hi] for _, x in rows]}
+
+
+def _orbit_hom(args):
+    cat, a, b = _orbit_pair(args)
+    return _dim(cat.hom_dim(a, b))
+
+
+def _orbit_ext(args):
+    cat, a, b = _orbit_pair(args)
+    return _dim(cat.ext_dim(b, a))
+
+
+def _orbit_middle(args):
+    cat, a, b = _orbit_pair(args)
+    mids = sorted(cat.to_diagonal(x) for x in cat.middle_term(a, b))
+    return " + ".join(map(str, mids)) or "0", {"middles": [[d.i, d.j] for d in mids]}
+
+
+def _orbit_closure(args):
+    cat = OrbitCategory(args.n, args.m)
+    closed = sorted(cat.closure_diagonals(_diag_list(args.diagonals)))
+    return " ".join(map(str, closed)), {
+        "n": args.n, "m": args.m, "diagonals": [[d.i, d.j] for d in closed]
+    }
+
+
+def _orbit_enumerate(args):
+    """One JSON document per torsion class, then a CSV summary line."""
+    classes = OrbitCategory(args.n, args.m).torsion_classes()
+    lines = [
+        json.dumps(
+            {"n": args.n, "m": args.m, "diagonals": [[d.i, d.j] for d in cls]},
+            sort_keys=True,
+        )
+        for cls in classes
+    ]
+    lines += ["n,m,count", f"{args.n},{args.m},{len(classes)}"]
+    return "\n".join(lines) + "\n", None
+
+
+def _render(args):
+    polygon, arcs = (args.n, args.m, args.diagonals), (args.w, args.arcs, args.dashed)
+    if any(v is not None for v in polygon) and any(v is not None for v in arcs):
+        raise UsageError("--n/--m/--diagonals and --w/--arcs/--dashed do not mix")
+    if args.diagonals is not None:
+        if args.n is None or args.m is None:
+            raise UsageError("polygon rendering requires --n and --m")
+        diagonals = _diag_list(args.diagonals)
+        cat = OrbitCategory(args.n, args.m)
+        for d in diagonals:
+            cat.from_diagonal(d)  # ParamsMismatch unless d is an m-diagonal
+        return svg_polygon_diagram(args.n, args.m, diagonals), None
+    if args.w is None or args.arcs is None:
+        raise UsageError("arc rendering requires --w and --arcs")
+    dashed = _arc_list(args.w, args.dashed or "")
+    return svg_arc_diagram(args.w, _arc_list(args.w, args.arcs), dashed), None
 
 
 def _add_global_flags(parser: Parser, top: bool) -> None:
@@ -159,49 +345,51 @@ def build_parser() -> Parser:
     _add_global_flags(p, top=True)
     sub = p.add_subparsers(dest="command", required=True, parser_class=Parser)
 
-    def add_parser(owner, name, **kw):
+    def add_parser(owner, name, handler=None, **kw):
         kw.setdefault("parents", [common])
-        return owner.add_parser(name, **kw)
+        sp = owner.add_parser(name, **kw)
+        sp.set_defaults(handler=handler)  # None on the t1 and orbit groups
+        return sp
 
     def arcish(sp, names=("--a", "--b")):
         sp.add_argument("--w", type=int, required=True)
         for name in names:
             sp.add_argument(name, required=True, metavar="T,U")
 
-    sp = add_parser(sub, "admissible", help="test admissibility of a pair")
+    sp = add_parser(sub, "admissible", _admissible, help="test admissibility of a pair")
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--arc", required=True, metavar="X,Y")
 
-    sp = add_parser(sub, "act", help="apply suspend/tau/serre to an arc")
+    sp = add_parser(sub, "act", _act, help="apply suspend/tau/serre to an arc")
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--functor", required=True, choices=("suspend", "tau", "serre"))
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--arc", required=True, metavar="T,U")
 
-    arcish(add_parser(sub, "hom", help="dim Hom(a, b)"))
-    arcish(add_parser(sub, "ext", help="dim Ext^1(b, a)"))
-    arcish(add_parser(sub, "middle", help="middle terms of extensions of b by a"))
-    arcish(add_parser(sub, "eset", help="two-sided middle-summand set of a pair"))
-    arcish(add_parser(sub, "ptolemy", help="connector arcs of a pair"))
+    arcish(add_parser(sub, "hom", _hom, help="dim Hom(a, b)"))
+    arcish(add_parser(sub, "ext", _ext, help="dim Ext^1(b, a)"))
+    arcish(add_parser(sub, "middle", _middle, help="middle terms of extensions of b by a"))
+    arcish(add_parser(sub, "eset", _eset, help="two-sided middle-summand set of a pair"))
+    arcish(add_parser(sub, "ptolemy", _ptolemy, help="connector arcs of a pair"))
 
-    sp = add_parser(sub, "closure", help="connector-arc closure of a finite arc set")
+    sp = add_parser(sub, "closure", _closure, help="connector-arc closure of a finite arc set")
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--arcs", required=True, metavar="T,U;T,U;...")
 
-    sp = add_parser(sub, "torsion", help="torsion-class verdict for a descriptor set")
+    sp = add_parser(sub, "torsion", _torsion, help="torsion-class verdict for a descriptor set")
     sp.add_argument("--in", dest="infile", required=True, metavar="FILE.json")
 
     t1 = add_parser(sub, "t1", help="weight-1 tube category").add_subparsers(
         dest="t1_command", required=True, parser_class=Parser
     )
-    sp = add_parser(t1, "classify")
+    sp = add_parser(t1, "classify", _t1_classify)
     sp.add_argument("--pattern", required=True, choices=("empty", "all", "upper", "explicit"))
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--in", dest="infile", default=None, metavar="FILE.json")
-    sp = add_parser(t1, "hom")
+    sp = add_parser(t1, "hom", _t1_hom)
     sp.add_argument("--a", required=True, metavar="SHIFT,LEVEL")
     sp.add_argument("--b", required=True, metavar="SHIFT,LEVEL")
-    sp = add_parser(t1, "extensions")
+    sp = add_parser(t1, "extensions", _t1_extensions)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--target", required=True, metavar="SHIFT,LEVEL")
 
@@ -215,19 +403,19 @@ def build_parser() -> Parser:
         for name in diagonals:
             sp.add_argument(name, required=True, metavar="I,J")
 
-    orbitish(add_parser(orbit, "list"))
-    orbitish(add_parser(orbit, "hom"), ("--a", "--b"))
-    orbitish(add_parser(orbit, "ext"), ("--a", "--b"))
-    orbitish(add_parser(orbit, "middle"), ("--a", "--b"))
-    sp = add_parser(orbit, "closure")
+    orbitish(add_parser(orbit, "list", _orbit_list))
+    orbitish(add_parser(orbit, "hom", _orbit_hom), ("--a", "--b"))
+    orbitish(add_parser(orbit, "ext", _orbit_ext), ("--a", "--b"))
+    orbitish(add_parser(orbit, "middle", _orbit_middle), ("--a", "--b"))
+    sp = add_parser(orbit, "closure", _orbit_closure)
     orbitish(sp)
     sp.add_argument("--diagonals", required=True, metavar="I,J;I,J;...")
-    orbitish(add_parser(orbit, "enumerate"))
+    orbitish(add_parser(orbit, "enumerate", _orbit_enumerate))
 
-    sp = add_parser(sub, "render", help="SVG diagram of arcs or polygon diagonals")
+    sp = add_parser(sub, "render", _render, help="SVG diagram of arcs or polygon diagonals")
     sp.add_argument("--w", type=int, default=None)
     sp.add_argument("--arcs", default=None, metavar="T,U;...")
-    sp.add_argument("--dashed", default="", metavar="T,U;...")
+    sp.add_argument("--dashed", default=None, metavar="T,U;...")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--diagonals", default=None, metavar="I,J;...")
@@ -240,203 +428,11 @@ def _parser() -> Parser:
     return build_parser()
 
 
-def _run_t1(args) -> None:
-    if args.t1_command == "classify":
-        if args.infile:
-            desc = _read_document(args.infile, T1Descriptor.from_json_dict)
-        elif args.pattern == "upper":
-            if args.n is None:
-                raise UsageError("upper pattern requires --n")
-            desc = T1Descriptor("upper", n=args.n)
-        elif args.pattern == "explicit":
-            raise UsageError("explicit pattern requires --in FILE.json")
-        else:
-            desc = T1Descriptor(args.pattern)
-        verdict = t1_classify(desc)
-        _emit(args, str(verdict), {"verdict": verdict.kind, "n": verdict.n})
-    elif args.t1_command == "hom":
-        a, b = _tube_object(args.a), _tube_object(args.b)
-        dim = t1_hom_dim(a, b)
-        _emit(args, str(dim), {"dim": dim})
-    else:
-        if args.r < 0:
-            raise UsageError(f"tube levels must be nonnegative, got --r {args.r}")
-        target = _tube_object(args.target)
-        fams = t1_extensions(args.r, target)
-        text = "\n".join(
-            " + ".join(f"X_{x.level}@{x.shift}" for x in fam) if fam else "0"
-            for fam in fams
-        )
-        _emit(
-            args,
-            text,
-            {"families": [[[x.shift, x.level] for x in fam] for fam in fams]},
-        )
-
-
-def _run_orbit(args) -> None:
-    cat = OrbitCategory(args.n, args.m)
-    cmd = args.orbit_command
-    if cmd == "list":
-        rows = [
-            (cat.to_diagonal(x), x) for x in cat.objects
-        ]
-        rows.sort()
-        text = "\n".join(f"{d}  <->  {x}" for d, x in rows)
-        payload = {
-            "n": args.n,
-            "m": args.m,
-            "N": cat.N,
-            "diagonals": [[d.i, d.j] for d, _ in rows],
-            "objects": [[x.degree, x.lo, x.hi] for _, x in rows],
-        }
-        _emit(args, text, payload)
-        return
-    if cmd in ("hom", "ext", "middle"):
-        xa, xb = cat.from_diagonal(_diag(args.a)), cat.from_diagonal(_diag(args.b))
-        if cmd == "hom":
-            dim = cat.hom_dim(xa, xb)
-            _emit(args, str(dim), {"dim": dim})
-        elif cmd == "ext":
-            dim = cat.ext_dim(xb, xa)
-            _emit(args, str(dim), {"dim": dim})
-        else:
-            mids = sorted(cat.to_diagonal(x) for x in cat.middle_term(xa, xb))
-            _emit(
-                args,
-                " + ".join(map(str, mids)) if mids else "0",
-                {"middles": [[d.i, d.j] for d in mids]},
-            )
-        return
-    if cmd == "closure":
-        seed = _diag_list(args.diagonals)
-        closed = sorted(cat.closure_diagonals(seed))
-        _emit(
-            args,
-            " ".join(map(str, closed)),
-            {"n": args.n, "m": args.m, "diagonals": [[d.i, d.j] for d in closed]},
-        )
-        return
-    # enumerate: one JSON document per torsion class, then a CSV summary line
-    classes = cat.torsion_classes()
-    lines = [
-        json.dumps(
-            {"n": args.n, "m": args.m, "diagonals": [[d.i, d.j] for d in cls]},
-            sort_keys=True,
-        )
-        for cls in classes
-    ]
-    lines.append("n,m,count")
-    lines.append(f"{args.n},{args.m},{len(classes)}")
-    _write(args, "\n".join(lines) + "\n")
-
-
-def _run_render(args) -> None:
-    if args.diagonals is not None:
-        if args.n is None or args.m is None:
-            raise UsageError("polygon rendering requires --n and --m")
-        diagonals = _diag_list(args.diagonals)
-        cat = OrbitCategory(args.n, args.m)
-        for d in diagonals:
-            cat.from_diagonal(d)  # ParamsMismatch unless d is an m-diagonal
-        svg = svg_polygon_diagram(args.n, args.m, diagonals)
-    else:
-        if args.w is None or args.arcs is None:
-            raise UsageError("arc rendering requires --w and --arcs")
-        svg = svg_arc_diagram(
-            args.w, _arc_list(args.w, args.arcs), _arc_list(args.w, args.dashed)
-        )
-    _write(args, svg)
-
-
 def run(argv: Sequence[str]) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "admissible":
-            ok = is_admissible(args.w, *_pair(args.arc))
-            _emit(args, "admissible" if ok else "not admissible", {"admissible": ok})
-        elif args.command == "act":
-            a = arc(args.w, *_pair(args.arc))
-            out = apply_functor(args.functor, args.k, a)
-            _emit(args, str(out), {"arc": _arc_json(out)})
-        elif args.command == "hom":
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
-            _emit(args, str(hom_dim(a, b)), {"dim": hom_dim(a, b)})
-        elif args.command == "ext":
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
-            _emit(args, str(ext_dim(b, a)), {"dim": ext_dim(b, a)})
-        elif args.command == "middle":
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
-            classes = middle_terms(a, b)
-            text = "\n".join(
-                f"{cls.side.value}: " + (" + ".join(map(str, cls.middles)) or "0")
-                for cls in classes
-            ) or "no extension"
-            payload = {
-                "classes": [
-                    {"side": cls.side.value, "middles": [_arc_json(m) for m in cls.middles]}
-                    for cls in classes
-                ]
-            }
-            _emit(args, text, payload)
-        elif args.command == "eset":
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
-            arcs = sorted(e_set(a, b))
-            _emit(args, " ".join(map(str, arcs)) or "(empty)",
-                  {"arcs": [_arc_json(m) for m in arcs]})
-        elif args.command == "ptolemy":
-            a, b = arc(args.w, *_pair(args.a)), arc(args.w, *_pair(args.b))
-            pt = ptolemy_arcs(a, b)
-            text = "\n".join(
-                f"class {label}: " + (" ".join(map(str, sorted(group))) or "(empty)")
-                for label, group in (("I", pt.class_i), ("II", pt.class_ii), ("III", pt.class_iii))
-            )
-            payload = {
-                "class_i": [_arc_json(m) for m in sorted(pt.class_i)],
-                "class_ii": [_arc_json(m) for m in sorted(pt.class_ii)],
-                "class_iii": [_arc_json(m) for m in sorted(pt.class_iii)],
-            }
-            _emit(args, text, payload)
-        elif args.command == "closure":
-            arcs = _arc_list(args.w, args.arcs)
-            closed = sorted(ptolemy_closure(args.w, arcs))
-            _emit(args, " ".join(map(str, closed)) or "(empty)",
-                  {"w": args.w, "arcs": [_arc_json(m) for m in closed]})
-        elif args.command == "torsion":
-            ds = _read_document(args.infile, DescriptorSet.from_json_dict)
-            try:
-                window = args.window if args.window is not None else report_window()
-            except ValueError as exc:  # a bad SPHTOR_WINDOW
-                raise UsageError(str(exc)) from None
-            rep = is_torsion_class(ds, window=window)
-            text = rep.verdict.value
-            if rep.witness_pair:
-                text += f" witness={rep.witness_pair[0]},{rep.witness_pair[1]} missing={rep.missing_arc}"
-            if rep.witness_fountain:
-                f = rep.witness_fountain
-                text += f" fountain=({f.vertex},{f.side.value})"
-            payload = {
-                "verdict": rep.verdict.value,
-                "witness_pair": [
-                    _arc_json(a) for a in rep.witness_pair
-                ] if rep.witness_pair else None,
-                "missing_arc": _arc_json(rep.missing_arc) if rep.missing_arc else None,
-                "witness_fountain": (
-                    {"vertex": rep.witness_fountain.vertex,
-                     "side": rep.witness_fountain.side.value}
-                    if rep.witness_fountain else None
-                ),
-                "perp_sample": [_arc_json(a) for a in rep.perp_sample],
-                "note": rep.note,
-            }
-            _emit(args, text, payload)
-        elif args.command == "t1":
-            _run_t1(args)
-        elif args.command == "orbit":
-            _run_orbit(args)
-        elif args.command == "render":
-            _run_render(args)
+        _emit(args, *args.handler(args))
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from sphtor.cli import run
+from conftest import cli_leaves
+from sphtor.cli import build_parser, run
 from sphtor.closure import MAX_CLOSED_SETS
 
 
@@ -228,6 +229,8 @@ BAD_INPUTS = {
                         "{tmp}/t1_float_level.json"), 64),
     "t1_negative_level": (("t1", "hom", "--a", "0,-1", "--b", "0,0"), 64),
     "render_non_diagonal": (("render", "--n", "3", "--m", "2", "--diagonals", "1,3"), 2),
+    "render_mixed_options": (("render", "--n", "3", "--m", "2", "--diagonals", "1,2",
+                              "--w", "2", "--arcs", "0,3"), 64),
 }
 
 
@@ -274,3 +277,10 @@ def test_parser_is_reused_without_carrying_state(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "ext", "--w", "0", "--b", "2,0", "--a", "3,1")
     assert code == 0 and out.strip() == "2"
     assert len(built) <= 1
+
+
+def test_every_leaf_subcommand_has_a_handler():
+    leaves = cli_leaves(build_parser())
+    assert ("orbit", "enumerate") in leaves and ("t1", "hom") in leaves
+    for path, parser in leaves.items():
+        assert callable(parser.get_default("handler")), path
