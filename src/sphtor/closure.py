@@ -480,9 +480,12 @@ def is_torsion_class(ds: DescriptorSet, window: Optional[int] = None) -> Torsion
     member pair with a missing connector, searched on the report window and
     then on the margin of :func:`_closedness_margin`, gives ``NOT_CLOSED``;
     else a one-sided wrong-side fountain gives ``NOT_CONTRAVARIANTLY_FINITE``;
-    else ``TORSION_CLASS``.  The verdict does not depend on the window.
+    else ``TORSION_CLASS``.  The verdict does not depend on the window, which
+    must be positive, as ``--window`` and ``SPHTOR_WINDOW`` must.
     """
     radius = window if window is not None else report_window()
+    if radius < 1:
+        raise ValueError(f"window must be positive, got {radius}")
     lo0, hi0 = ds.span()
     pair, missing = _closedness_witness(ds, lo0 - radius, hi0 + radius)
     margin = _closedness_margin(ds.w)

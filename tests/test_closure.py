@@ -198,6 +198,16 @@ def test_not_closed_witness_is_the_least_missing_connector():
     assert arc(2, -2, 1) in ptolemy_closure(2, ds.arcs)
 
 
+@pytest.mark.parametrize("window", [0, -1, -5])
+def test_non_positive_window_is_rejected(window):
+    # a negative window once hid the members from the witness search and
+    # called this crossing pair, which misses (0,4), a torsion class
+    ds = DescriptorSet(2, [arc(2, 0, 3), arc(2, 1, 4)])
+    with pytest.raises(ValueError, match="window must be positive"):
+        is_torsion_class(ds, window=window)
+    assert is_torsion_class(ds, window=1).missing_arc == arc(2, 0, 4)
+
+
 def test_torsion_class_double_fountain():
     ds = DescriptorSet(
         -1,
