@@ -239,9 +239,12 @@ class OrbitCategory:
         """Middle summands of the unique non-split extension of b by a."""
         if self.ext_dim(b, a) == 0:
             raise NoExtension(f"Ext^1({b},{a}) = 0 in C_{self.m}(A_{self.n})")
-        starts, _ = self.frames(a)
-        _, ends = self.frames(b)
-        return tuple(sorted(starts & ends))
+        # the starting frame of a met with the ending frame of b, in one scan
+        return tuple(sorted(
+            x for x in self.objects
+            if self.hom_dim(a, x) and self.hom_dim(x, b)
+            and not self.ext_dim(x, a) and not self.ext_dim(b, x)
+        ))
 
     def e_set(self, a: IntervalObject, b: IntervalObject) -> FrozenSet[IntervalObject]:
         out = set()
