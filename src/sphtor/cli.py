@@ -305,11 +305,11 @@ def _orbit_enumerate(args):
 
 def _render(args):
     polygon, arcs = (args.n, args.m, args.diagonals), (args.w, args.arcs, args.dashed)
-    if any(v is not None for v in polygon) and any(v is not None for v in arcs):
-        raise UsageError("--n/--m/--diagonals and --w/--arcs/--dashed do not mix")
-    if args.diagonals is not None:
-        if args.n is None or args.m is None:
-            raise UsageError("polygon rendering requires --n and --m")
+    if any(v is not None for v in polygon):
+        if any(v is not None for v in arcs):
+            raise UsageError("--n/--m/--diagonals and --w/--arcs/--dashed do not mix")
+        if None in polygon:
+            raise UsageError("polygon rendering requires --n, --m and --diagonals")
         diagonals = _diag_list(args.diagonals)
         cat = OrbitCategory(args.n, args.m)
         for d in diagonals:

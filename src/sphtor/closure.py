@@ -480,8 +480,8 @@ def is_torsion_class(ds: DescriptorSet, window: Optional[int] = None) -> Torsion
     member pair with a missing connector, searched on the report window and
     then on the margin of :func:`_closedness_margin`, gives ``NOT_CLOSED``;
     else a one-sided wrong-side fountain gives ``NOT_CONTRAVARIANTLY_FINITE``;
-    else ``TORSION_CLASS``.  The verdict does not depend on the window, which
-    must be positive, as ``--window`` and ``SPHTOR_WINDOW`` must.
+    else ``TORSION_CLASS``.  The verdict does not depend on the window; a
+    window below 1 raises ``ValueError``.
     """
     radius = window if window is not None else report_window()
     if radius < 1:

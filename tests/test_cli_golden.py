@@ -74,7 +74,7 @@ def test_golden_output(tmp_path, capsys, name, fmt):
 
 
 def test_golden_cases_cover_every_leaf():
-    covered = {words[:2] if words[0] in ("t1", "orbit") else words[:1]
-               for words in CASES.values()}
-    assert covered == set(cli_leaves(build_parser()))
+    leaves = cli_leaves(build_parser())
+    covered = {path for path in leaves for words in CASES.values() if words[:len(path)] == path}
+    assert covered == set(leaves)
     assert set(GOLDEN) == set(CASES)
