@@ -1,14 +1,16 @@
 """Extension closure, fountains, and torsion-class verdicts.
 
-This module owns the package's one pair-closure engine, ``_close``: the
-least set closed under a symmetric pair rule.  The arc closures feed it
-the integer pair kernels of :mod:`sphtor.extensions` (connector arcs, or
-the middle summands of both extensions), once the weights are checked, and
+This module has two closure loops.  ``_close`` is the least set closed
+under a symmetric pair rule, for one seed.  The arc closures feed it the
+integer pair kernels of :mod:`sphtor.extensions` (connector arcs, or the
+middle summands of both extensions), once the weights are checked, and
 :meth:`sphtor.orbit.OrbitCategory.closure` feeds it orbit-category middle
 terms.  Finite arc sets close without leaving their own endpoint set, so the
 fixpoint is finite and cheap.  ``_closed_sets`` lists every closed set of a
-finite universe by Close-by-One with incremental closure on bitsets, up to
-``MAX_CLOSED_SETS``.
+finite universe by Close-by-One, up to ``MAX_CLOSED_SETS``, and closes each
+child in a loop of its own: on bitsets, from its closed parent, firing only
+the pairs that touch new members and stopping at the canonicity test.  A
+single engine serving both was tried and came out longer at the same speed.
 Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
 plus partial-fountain generators).  ``is_torsion_class`` decides them
 exactly by a pair check on a bounded instantiation; ``symbolic_closure``
@@ -29,6 +31,7 @@ from .hammocks import _hom_nonzero_ints
 
 DEFAULT_WINDOW = 40
 MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 objects
+MAX_PERP_PAIRS = 1 << 23  # window arcs times members tested for a perp sample
 
 
 def report_window() -> int:
@@ -48,9 +51,10 @@ def report_window() -> int:
 def _close(seed: Iterable, pair_rule: Callable[..., Iterable]) -> FrozenSet:
     """Least superset of ``seed`` closed under a symmetric pair rule.
 
-    The one pair-closure engine of the package: every pair of members,
-    including each member with itself, is fed to ``pair_rule`` once, and
-    whatever it returns joins the set and is paired with all members.
+    The closure loop for one seed (``_closed_sets`` has its own, incremental
+    one): every pair of members, including each member with itself, is fed
+    to ``pair_rule`` once, and whatever it returns joins the set and is
+    paired with all members.
     """
     members = set(seed)
     queue = list(combinations_with_replacement(members, 2))
@@ -439,6 +443,15 @@ def _closedness_margin(w: int) -> int:
     and fountain membership (a member past the span stays past its start).
     So every unclosed pair has a copy, with its missing connector, within
     2g of the span, inside M(w) = 2(g + |w-1|).
+
+    The same margin decides the perp sample on a window [lo, hi] containing
+    the span.  A window arc b has both endpoints in [lo, hi], and a member x
+    at most one endpoint outside it.  By the arc route, Hom(x, b) is
+    Ext^1(x, suspension^-1 b), which depends on that far endpoint only
+    through its order, residue, distance-1 contacts and length >= |w|,
+    measured against b's endpoints shifted by one.  So the same gap
+    shrinking yields a member within M(w) of the window whenever any member
+    maps to b.
     """
     return 2 * (abs(w) + 2 * abs(w - 1) + 2)
 
@@ -447,8 +460,9 @@ def _closedness_witness(ds: DescriptorSet, lo: int, hi: int):
     """The first pair inside [lo, hi] that misses a connector, and the least it misses."""
     present = ds.instantiate(lo, hi)
     ordered = sorted(present)
-    for a in ordered:
-        for b in ordered:
+    # the connector rule is symmetric, so the first ordered hit has a <= b
+    for i, a in enumerate(ordered):
+        for b in ordered[i:]:
             missing = [
                 m
                 for m in _connectors_ints(ds.w, a.t, a.u, b.t, b.u)[1]
@@ -461,11 +475,13 @@ def _closedness_witness(ds: DescriptorSet, lo: int, hi: int):
 
 
 def _perp_sample(ds: DescriptorSet, lo: int, hi: int) -> Tuple[Arc, ...]:
-    # Hammock membership against a fountain stabilizes once the moving
-    # endpoint clears the window, so a margin instantiation decides the check.
+    """The arcs inside [lo, hi] that no member maps to, members taken within M(w) of it."""
     w = ds.w
-    margin = (hi - lo) + 3 * abs(translation_step(w)) + abs(w) + 4
+    margin = _closedness_margin(w)
     generators = ds.instantiate(lo - margin, hi + margin)
+    pairs = (hi - lo + 1) * (hi - lo + 2) // 2 * len(generators)
+    if pairs > MAX_PERP_PAIRS:
+        raise TooLarge(f"refusing a perp sample of more than {MAX_PERP_PAIRS} pairs ({pairs})")
     return tuple(
         b
         for b in arcs_in_window(w, lo, hi)

@@ -8,9 +8,10 @@ degree m-1 non-injectives.  The polygon model labels them by the diagonals of
 an N-gon, N = m(n+1) - 2, that cut it into pieces with vertex counts
 divisible by m.  The derived-category construction is authoritative; the
 polygon layer is a validated view (construction fails hard if the counts or
-the rotation equivariance do not come out).  Torsion classes are the closed
-sets of the closure module's one engine, listed by Close-by-One with
-incremental closure.
+the rotation equivariance do not come out).  Torsion classes are the sets
+closed under middle terms: ``closure`` closes one seed with the closure
+module's ``_close``, and ``torsion_classes`` lists them all with its
+``_closed_sets``, Close-by-One with an incremental closure loop of its own.
 """
 
 from __future__ import annotations
@@ -271,9 +272,6 @@ class OrbitCategory:
     def rotate(self, d: MDiagonal, k: int) -> MDiagonal:
         i, j = self._wrap(d.i + k), self._wrap(d.j + k)
         return MDiagonal(min(i, j), max(i, j))
-
-    def sigma_diag(self, d: MDiagonal) -> MDiagonal:
-        return self.rotate(d, 1)
 
     def tau_diag(self, d: MDiagonal) -> MDiagonal:
         return self.rotate(d, -self.m)

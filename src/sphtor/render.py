@@ -80,12 +80,7 @@ def svg_arc_diagram(
     return _svg(width, height, body)
 
 
-def svg_polygon_diagram(
-    n: int,
-    m: int,
-    diagonals: Sequence[MDiagonal],
-    dashed: Sequence[MDiagonal] = (),
-) -> str:
+def svg_polygon_diagram(n: int, m: int, diagonals: Sequence[MDiagonal]) -> str:
     """Diagonals drawn as chords of the N-gon, vertex 1 at the top, clockwise."""
     N = m * (n + 1) - 2
     radius = 150.0
@@ -108,11 +103,10 @@ def svg_polygon_diagram(
             f'  <text x="{_fmt(lx)}" y="{_fmt(ly + 4)}" font-size="11" '
             f'text-anchor="middle">{v}</text>'
         )
-    for group, style in ((sorted(diagonals), BASE_STYLE), (sorted(dashed), DASHED_STYLE)):
-        for dg in group:
-            (x1, y1), (x2, y2) = point(dg.i), point(dg.j)
-            body.append(
-                f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-                f'y2="{_fmt(y2)}" {style}/>'
-            )
+    for dg in sorted(diagonals):
+        (x1, y1), (x2, y2) = point(dg.i), point(dg.j)
+        body.append(
+            f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+            f'y2="{_fmt(y2)}" {BASE_STYLE}/>'
+        )
     return _svg(size, size, body)

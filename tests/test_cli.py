@@ -4,7 +4,7 @@ import pytest
 
 from conftest import cli_leaves
 from sphtor.cli import build_parser, run
-from sphtor.closure import MAX_CLOSED_SETS
+from sphtor.closure import MAX_CLOSED_SETS, MAX_PERP_PAIRS
 
 
 def invoke(capsys, *argv):
@@ -156,6 +156,15 @@ def test_orbit_enumerate_guard_exit_code(capsys):
     code, out, err = invoke(capsys, "orbit", "enumerate", "--n", "1", "--m", "18")
     assert code == 2 and out == ""
     assert str(MAX_CLOSED_SETS) in err
+
+
+def test_torsion_perp_budget_exit_code(tmp_path, capsys):
+    blob = {"w": 2, "arcs": [], "fountains": [{"vertex": 0, "side": "left", "from": -2}]}
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "torsion", "--in", str(path), "--window", "400")
+    assert code == 2 and out == ""
+    assert str(MAX_PERP_PAIRS) in err
 
 
 def test_orbit_enumerate_past_sixteen_objects(capsys):

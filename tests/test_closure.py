@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,12 @@ from sphtor import (
     FountainSide,
     InvalidArc,
     NonConvergence,
+    TooLarge,
     Verdict,
     WeightMismatch,
     arc,
     arcs_in_window,
+    ext_dim_arc,
     extension_closure_oracle,
     hom_dim,
     is_admissible,
@@ -24,9 +27,9 @@ from sphtor import (
     symbolic_closure,
 )
 
-from sphtor.arcs import QuiverCoord, from_coord
-from sphtor.closure import _closedness_margin
-from sphtor.extensions import _both_middles
+from sphtor.arcs import QuiverCoord, from_coord, suspend
+from sphtor.closure import _closedness_margin, _perp_sample
+from sphtor.extensions import _both_middles, _connectors_ints
 
 from conftest import ALL_WEIGHTS, random_arc_sets
 
@@ -295,6 +298,73 @@ def test_closedness_verdict_is_exact(ds, window):
     closed = _both_ways_closed(ds.w, ds.instantiate(lo0 - reach, hi0 + reach))
     verdict = is_torsion_class(ds, window=window).verdict
     assert (verdict is not Verdict.NOT_CLOSED) == closed, ds
+
+
+@given(fountain_descriptors(), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_perp_sample_is_exact(ds, window):
+    lo0, hi0 = ds.span()
+    lo, hi = lo0 - window, hi0 + window
+    # members far past the margin; Hom(x, b) by the arc route, Ext^1(x, suspension^-1 b)
+    reach = 4 * (hi - lo + _closedness_margin(ds.w))
+    members = ds.instantiate(lo - reach, hi + reach)
+    expected = tuple(
+        b
+        for b in arcs_in_window(ds.w, lo, hi)
+        if not any(ext_dim_arc(x, suspend(b, -1)) for x in members)
+    )
+    # the margin argument does not use closedness, and on torsion classes
+    # alone random draws give the same samples at a margin of 0, so every
+    # drawn set is checked
+    assert _perp_sample(ds, lo, hi) == expected, ds
+    rep = is_torsion_class(ds, window=window)
+    if rep.verdict is Verdict.TORSION_CLASS:
+        assert rep.perp_sample == expected, ds
+
+
+def _first_ordered_hit(ds, lo, hi):
+    """The witness by a scan of every ordered pair, in sorted order."""
+    present = ds.instantiate(lo, hi)
+    ordered = sorted(present)
+    for a in ordered:
+        for b in ordered:
+            missing = [
+                m
+                for m in _connectors_ints(ds.w, a.t, a.u, b.t, b.u)[1]
+                if m not in present and not any(f.covers(ds.w, m) for f in ds.fountains)
+            ]
+            if missing:
+                return (a, b), min(missing)
+    return None, None
+
+
+@st.composite
+def finite_descriptors(draw):
+    w = draw(st.sampled_from(ALL_WEIGHTS))
+    pool = sorted(arcs_in_window(w, -5, 5))
+    return DescriptorSet(w, draw(st.lists(st.sampled_from(pool), max_size=6)))
+
+
+@given(st.one_of(fountain_descriptors(), finite_descriptors()), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_witness_is_the_first_ordered_hit(ds, window):
+    lo0, hi0 = ds.span()
+    pair, missing = _first_ordered_hit(ds, lo0 - window, hi0 + window)
+    margin = _closedness_margin(ds.w)
+    if pair is None and ds.fountains and margin > window:
+        pair, missing = _first_ordered_hit(ds, lo0 - margin, hi0 + margin)
+    rep = is_torsion_class(ds, window=window)
+    assert (rep.witness_pair, rep.missing_arc) == (pair, missing), ds
+
+
+def test_perp_sample_refuses_a_runaway_window():
+    # a torsion class whose perp sample at window 400 tests about 1.3e8 pairs
+    ds = DescriptorSet(2, [], [FountainDescriptor(0, FountainSide.LEFT, -2)])
+    assert is_torsion_class(ds, window=40).verdict is Verdict.TORSION_CLASS
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="perp sample"):
+        is_torsion_class(ds, window=400)
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("w", ALL_WEIGHTS)

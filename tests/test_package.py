@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import subprocess
@@ -66,3 +67,20 @@ def test_benchmark_answers_check(workload):
     assert result.returncode == 0, result.stdout + result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["correct"] is True and report["failed"] == 0
+
+
+@pytest.mark.parametrize(
+    "demo", sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
+)
+def test_demo_runs(demo):
+    # a renamed or removed public name breaks a demo; demo 06 writes under demos/out/
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run(
+        [sys.executable, os.path.join("demos", demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
