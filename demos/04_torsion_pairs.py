@@ -7,6 +7,7 @@ from sphtor import (
     DescriptorSet,
     FountainDescriptor,
     FountainSide,
+    TooLarge,
     arc,
     extension_closure_oracle,
     is_torsion_class,
@@ -40,11 +41,15 @@ for fountains, label in [((left,), "left only"), ((right,), "right only"),
     print(f"w=-1 {label:>10}: {rep.verdict.value}")
 
 print()
-print("=== symbolic closure grows new partial fountains ===")
-ds = DescriptorSet(2, [arc(2, -2, 1)], [FountainDescriptor(0, FountainSide.RIGHT, 2)])
+print("=== symbolic closure: exact, or refused ===")
+ds = DescriptorSet(2, [arc(2, -4, -1)], [FountainDescriptor(0, FountainSide.LEFT, -2)])
 grown = symbolic_closure(ds)
-spots = sorted({(f.vertex, f.side.value) for f in grown.fountains})
-print("fountain spots after closing:", spots[:6], "...")
+print("an arc and a left fountain gain:", " ".join(map(str, sorted(grown.arcs - ds.arcs))))
+ds = DescriptorSet(2, [arc(2, -2, 1)], [FountainDescriptor(0, FountainSide.RIGHT, 2)])
+try:
+    symbolic_closure(ds)
+except TooLarge as exc:
+    print("an arc and a right fountain:", exc)
 
 print()
 print("=== verdicts check pairs on a bounded window and never close ===")

@@ -36,13 +36,11 @@ from .closure import (
     is_contravariantly_finite,
     is_torsion_class,
     ptolemy_closure,
-    report_window,
     symbolic_closure,
 )
 from .errors import (
     InvalidArc,
     NoExtension,
-    NonConvergence,
     NonOrthogonalInput,
     NotInHammock,
     ParamsMismatch,

@@ -33,7 +33,7 @@ from . import (
     t1_extensions,
     t1_hom_dim,
 )
-from .closure import report_window
+from .closure import DEFAULT_WINDOW
 from .orbit import MDiagonal, OrbitCategory
 from .render import svg_arc_diagram, svg_polygon_diagram
 from .tube import TubeObject
@@ -198,11 +198,7 @@ def _closure(args):
 
 def _torsion(args):
     ds = _read_document(args.infile, DescriptorSet.from_json_dict)
-    try:
-        window = args.window if args.window is not None else report_window()
-    except ValueError as exc:  # a bad SPHTOR_WINDOW
-        raise UsageError(str(exc)) from None
-    rep = is_torsion_class(ds, window=window)
+    rep = is_torsion_class(ds, window=args.window)
     f = rep.witness_fountain
     text = rep.verdict.value
     if rep.witness_pair:
@@ -334,7 +330,7 @@ def _add_global_flags(parser: Parser, top: bool) -> None:
     parser.add_argument("--format", choices=("text", "json"), default=default("text"))
     parser.add_argument("--out", default=default(None),
                         help="write output to a file instead of stdout")
-    parser.add_argument("--window", type=_positive_int, default=default(None),
+    parser.add_argument("--window", type=_positive_int, default=default(DEFAULT_WINDOW),
                         help="report window radius")
 
 

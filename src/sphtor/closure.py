@@ -13,39 +13,26 @@ the pairs that touch new members and stopping at the canonicity test.  A
 single engine serving both was tried and came out longer at the same speed.
 Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
 plus partial-fountain generators).  ``is_torsion_class`` decides them
-exactly by a pair check on a bounded instantiation; ``symbolic_closure``
-closes them on windows, promoting runs back to fountains by a heuristic.
+exactly by a pair check on a bounded instantiation.  ``symbolic_closure``
+closes one on the same bounds and returns the result only when that check
+proves it closed; a closure that needs arcs past the span or new fountains
+has no descriptor set, and it raises ``TooLarge``.
 """
 
 from __future__ import annotations
 
-import os
 from enum import Enum
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .arcs import Arc, arc, arcs_in_window, is_admissible, to_coord, translation_step
-from .errors import InvalidArc, NonConvergence, TooLarge, WeightMismatch, _json_int
+from .arcs import Arc, arc, arcs_in_window, is_admissible, translation_step
+from .errors import InvalidArc, TooLarge, WeightMismatch, _json_int
 from .extensions import _both_middles, _connectors_ints
 from .hammocks import _hom_nonzero_ints
 
 DEFAULT_WINDOW = 40
 MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 objects
-MAX_PERP_PAIRS = 1 << 23  # window arcs times members tested for a perp sample
-
-
-def report_window() -> int:
-    """Window radius for report samples; SPHTOR_WINDOW overrides the default."""
-    raw = os.environ.get("SPHTOR_WINDOW")
-    if raw is None:
-        return DEFAULT_WINDOW
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SPHTOR_WINDOW must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError("SPHTOR_WINDOW must be positive")
-    return value
+MAX_VERDICT_PAIRS = 1 << 20  # window arcs times (members + 1), for both verdict scans
 
 
 def _close(seed: Iterable, pair_rule: Callable[..., Iterable]) -> FrozenSet:
@@ -257,12 +244,6 @@ class DescriptorSet:
             out.update(m for m in f.members(self.w, lo, hi) if lo <= f.vertex <= hi)
         return frozenset(out)
 
-    def is_finite(self) -> bool:
-        return not self.fountains
-
-    def same_arcs(self, other: "DescriptorSet", lo: int, hi: int) -> bool:
-        return self.instantiate(lo, hi) == other.instantiate(lo, hi)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DescriptorSet)
@@ -308,82 +289,6 @@ class DescriptorSet:
             for f in data.get("fountains", [])
         ]
         return cls(w, arcs_in, fountains)
-
-
-PROMOTION_RUN = 4  # shortest edge-reaching progression promoted to a fountain
-
-
-def _promote(w: int, closed: FrozenSet[Arc], lo: int, hi: int) -> DescriptorSet:
-    step = abs(translation_step(w))
-    by_vertex: Dict[int, Dict[FountainSide, List[int]]] = {}
-    for a in closed:
-        if a.is_loop:
-            continue
-        for v, other in ((a.t, a.u), (a.u, a.t)):
-            side = FountainSide.RIGHT if other > v else FountainSide.LEFT
-            by_vertex.setdefault(v, {}).setdefault(side, []).append(other)
-    fountains = set()
-    for v, sides in by_vertex.items():
-        for side, others_raw in sides.items():
-            outward = side is FountainSide.RIGHT
-            # companions ordered toward the window edge; count the run of
-            # consecutive step-|d| hits ending at the extreme one
-            seq = sorted(set(others_raw), reverse=not outward)
-            idx = len(seq) - 1
-            while idx > 0 and abs(seq[idx] - seq[idx - 1]) == step:
-                idx -= 1
-            run_len = len(seq) - idx
-            extreme = seq[-1]
-            reaches_edge = extreme >= hi - step if outward else extreme <= lo + step
-            if run_len >= PROMOTION_RUN and reaches_edge:
-                fountains.add(FountainDescriptor(v, side, seq[idx]))
-    return DescriptorSet(w, closed, fountains)
-
-
-def _closure_at_window(ds: DescriptorSet, radius: int) -> DescriptorSet:
-    lo0, hi0 = ds.span()
-    lo, hi = lo0 - radius, hi0 + radius
-    closed = ptolemy_closure(ds.w, ds.instantiate(lo, hi))
-    return _promote(ds.w, closed, lo, hi)
-
-
-def _agree(x: DescriptorSet, y: DescriptorSet, lo: int, hi: int) -> bool:
-    """Same arcs and the same fountain (vertex, side) pairs inside [lo, hi]."""
-
-    def signature(ds: DescriptorSet) -> Set[Tuple[int, FountainSide]]:
-        return {(f.vertex, f.side) for f in ds.fountains if lo <= f.vertex <= hi}
-
-    return x.same_arcs(y, lo, hi) and signature(x) == signature(y)
-
-
-def symbolic_closure(ds: DescriptorSet, max_doublings: int = 5) -> DescriptorSet:
-    """Closure of a descriptor set, stable under doubling the window.
-
-    The finite case is the plain fixpoint.  With fountains, the presented set
-    is instantiated on a window, closed there, and edge-reaching arithmetic
-    progressions are promoted back to fountains; the result is accepted only
-    when the window-doubled run agrees with it on the inner half-window
-    (arcs and fountain positions alike), otherwise the window doubles again
-    and eventually ``NonConvergence``.  The returned descriptor is accurate
-    out to its final window; closures whose fountain set is genuinely
-    infinite are reported truncated to that window.
-    """
-    if ds.is_finite():
-        return DescriptorSet(ds.w, ptolemy_closure(ds.w, ds.arcs))
-    d = translation_step(ds.w)
-    seed = set(ds.arcs) | {arc(ds.w, f.vertex, f.start) for f in ds.fountains}
-    max_level = max((to_coord(a).level for a in seed), default=0)
-    radius = max(4 * abs(d) * (max_level + 1), 4)
-    lo0, hi0 = ds.span()
-    small = _closure_at_window(ds, radius)
-    for _ in range(max_doublings):
-        big = _closure_at_window(ds, 2 * radius)
-        if _agree(small, big, lo0 - radius // 2, hi0 + radius // 2):
-            return big
-        small, radius = big, 2 * radius
-    raise NonConvergence(
-        f"descriptor closure did not stabilize after {max_doublings} window doublings"
-    )
 
 
 def _unmatched_fountain(ds: DescriptorSet) -> Optional[FountainDescriptor]:
@@ -474,14 +379,35 @@ def _closedness_witness(ds: DescriptorSet, lo: int, hi: int):
     return None, None
 
 
+def symbolic_closure(ds: DescriptorSet) -> DescriptorSet:
+    """The closure of a descriptor set, or ``TooLarge`` if no descriptor set presents it.
+
+    The members on span ± M(w) are closed with ``ptolemy_closure``, and the
+    closed arcs inside the span join the fountains of ``ds``.  That set
+    contains ``ds`` and lies in its closure, so when the exact pair check of
+    ``is_torsion_class`` finds no unclosed pair on span ± M(w), it is the
+    closure.  Otherwise the closure needs arcs past the span or new
+    fountains, and the message names the pair that shows it.
+    """
+    lo0, hi0 = ds.span()
+    margin = _closedness_margin(ds.w)
+    closed = ptolemy_closure(ds.w, ds.instantiate(lo0 - margin, hi0 + margin))
+    inside = (a for a in closed if lo0 <= min(a.vertices) and max(a.vertices) <= hi0)
+    out = DescriptorSet(ds.w, inside, ds.fountains)
+    pair, missing = _closedness_witness(out, lo0 - margin, hi0 + margin)
+    if pair is not None:
+        raise TooLarge(
+            f"the closure needs arcs past the span [{lo0}, {hi0}] or new fountains, which a "
+            f"descriptor set cannot present: {pair[0]} and {pair[1]} miss {missing}"
+        )
+    return out
+
+
 def _perp_sample(ds: DescriptorSet, lo: int, hi: int) -> Tuple[Arc, ...]:
     """The arcs inside [lo, hi] that no member maps to, members taken within M(w) of it."""
     w = ds.w
     margin = _closedness_margin(w)
     generators = ds.instantiate(lo - margin, hi + margin)
-    pairs = (hi - lo + 1) * (hi - lo + 2) // 2 * len(generators)
-    if pairs > MAX_PERP_PAIRS:
-        raise TooLarge(f"refusing a perp sample of more than {MAX_PERP_PAIRS} pairs ({pairs})")
     return tuple(
         b
         for b in arcs_in_window(w, lo, hi)
@@ -489,7 +415,7 @@ def _perp_sample(ds: DescriptorSet, lo: int, hi: int) -> Tuple[Arc, ...]:
     )
 
 
-def is_torsion_class(ds: DescriptorSet, window: Optional[int] = None) -> TorsionReport:
+def is_torsion_class(ds: DescriptorSet, window: int = DEFAULT_WINDOW) -> TorsionReport:
     """Decide whether a descriptor set presents a torsion class.
 
     Ptolemy-closed plus the fountain criterion, with no closure computed: a
@@ -497,21 +423,29 @@ def is_torsion_class(ds: DescriptorSet, window: Optional[int] = None) -> Torsion
     then on the margin of :func:`_closedness_margin`, gives ``NOT_CLOSED``;
     else a one-sided wrong-side fountain gives ``NOT_CONTRAVARIANTLY_FINITE``;
     else ``TORSION_CLASS``.  The verdict does not depend on the window; a
-    window below 1 raises ``ValueError``.
+    window below 1 raises ``ValueError``.  Before either scan, a window whose
+    arcs times one more than the members within M(w) of it exceed
+    ``MAX_VERDICT_PAIRS`` raises ``TooLarge``; that count bounds the perp
+    sample and the pair check on the window, whose members are window arcs.
     """
-    radius = window if window is not None else report_window()
-    if radius < 1:
-        raise ValueError(f"window must be positive, got {radius}")
+    if window < 1:
+        raise ValueError(f"window must be positive, got {window}")
     lo0, hi0 = ds.span()
-    pair, missing = _closedness_witness(ds, lo0 - radius, hi0 + radius)
+    lo, hi = lo0 - window, hi0 + window
     margin = _closedness_margin(ds.w)
-    if pair is None and ds.fountains and margin > radius:
+    pairs = (hi - lo + 1) * (hi - lo + 2) // 2
+    if pairs <= MAX_VERDICT_PAIRS:  # else refuse before instantiating anything
+        pairs *= len(ds.instantiate(lo - margin, hi + margin)) + 1
+    if pairs > MAX_VERDICT_PAIRS:
+        raise TooLarge(
+            f"refusing a pair check and perp sample of more than {MAX_VERDICT_PAIRS} pairs ({pairs})"
+        )
+    pair, missing = _closedness_witness(ds, lo, hi)
+    if pair is None and ds.fountains and margin > window:
         pair, missing = _closedness_witness(ds, lo0 - margin, hi0 + margin)
     if pair is not None:
         return TorsionReport(Verdict.NOT_CLOSED, witness_pair=pair, missing_arc=missing)
     bad = _unmatched_fountain(ds)
     if bad is not None:
         return TorsionReport(Verdict.NOT_CONTRAVARIANTLY_FINITE, witness_fountain=bad)
-    return TorsionReport(
-        Verdict.TORSION_CLASS, perp_sample=_perp_sample(ds, lo0 - radius, hi0 + radius)
-    )
+    return TorsionReport(Verdict.TORSION_CLASS, perp_sample=_perp_sample(ds, lo, hi))

@@ -41,10 +41,6 @@ class NonOrthogonalInput(SphtorError):
         self.witness = witness
 
 
-class NonConvergence(SphtorError):
-    """Raised when the window-doubling check of a symbolic closure fails."""
-
-
 class ParamsMismatch(SphtorError):
     """Raised when orbit-category objects from different (n, m) are combined."""
 
@@ -54,7 +50,11 @@ class ValidationFailure(SphtorError):
 
 
 class TooLarge(SphtorError):
-    """Raised when an exhaustive enumeration would exceed its guard size."""
+    """Raised when a computation would exceed its budget, or its answer has no presentation.
+
+    ``symbolic_closure`` raises it for a closure that needs arcs past the
+    span or new fountains, which a descriptor set cannot present.
+    """
 
 
 def _json_int(value, what: str) -> int:

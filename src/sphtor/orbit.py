@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
+from .arcs import _crossing_ints
 from .closure import _close, _closed_sets
 from .errors import NoExtension, ParamsMismatch, ValidationFailure
 
@@ -323,13 +324,10 @@ class OrbitCategory:
         # with no shared vertex, touching a successor is circular distance 1
         return self._wrap(a1 + 1) in (db.i, db.j) or self._wrap(a2 + 1) in (db.i, db.j)
 
-    def _in_open_arc(self, x: int, p: int, q: int) -> bool:
-        return 0 < (x - p) % self.N < (q - p) % self.N
-
     def diagonals_cross(self, da: MDiagonal, db: MDiagonal) -> bool:
-        if {da.i, da.j} & {db.i, db.j}:
-            return False
-        return self._in_open_arc(db.i, da.i, da.j) != self._in_open_arc(db.j, da.i, da.j)
+        # chords of a polygon labelled 1..N cross exactly when their endpoints
+        # interleave on the line
+        return _crossing_ints(da.i, da.j, db.i, db.j)
 
     def ptolemy(self, da: MDiagonal, db: MDiagonal) -> FrozenSet[MDiagonal]:
         """Connector diagonals of a pair, filtered to m-diagonals.

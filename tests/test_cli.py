@@ -4,7 +4,7 @@ import pytest
 
 from conftest import cli_leaves
 from sphtor.cli import build_parser, run
-from sphtor.closure import MAX_CLOSED_SETS, MAX_PERP_PAIRS
+from sphtor.closure import MAX_CLOSED_SETS, MAX_VERDICT_PAIRS
 
 
 def invoke(capsys, *argv):
@@ -128,20 +128,6 @@ def test_orbit_subcommands(capsys):
     assert json.loads(out)["diagonals"] == [[1, 2], [1, 4], [2, 3], [3, 4]]
 
 
-def test_env_window_override(tmp_path, capsys, monkeypatch):
-    blob = {"w": 2, "arcs": [[0, 3]], "fountains": []}
-    path = tmp_path / "ds.json"
-    path.write_text(json.dumps(blob))
-    monkeypatch.setenv("SPHTOR_WINDOW", "6")
-    code, out, _ = invoke(capsys, "torsion", "--in", str(path), "--format", "json")
-    assert code == 0
-    assert json.loads(out)["verdict"] == "torsion_class"
-    monkeypatch.setenv("SPHTOR_WINDOW", "banana")
-    code, out, err = invoke(capsys, "torsion", "--in", str(path))
-    assert code == 64 and out == ""
-    assert "SPHTOR_WINDOW" in err
-
-
 def test_t1_classify_from_json(tmp_path, capsys):
     blob = {"w": 1, "pattern": "explicit", "tubes": {"0": "all", "2": [0, 1]}}
     path = tmp_path / "t1.json"
@@ -164,7 +150,20 @@ def test_torsion_perp_budget_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(blob))
     code, out, err = invoke(capsys, "torsion", "--in", str(path), "--window", "400")
     assert code == 2 and out == ""
-    assert str(MAX_PERP_PAIRS) in err
+    assert str(MAX_VERDICT_PAIRS) in err
+
+
+@pytest.mark.parametrize("doc, window", [
+    ({"w": 2, "arcs": [], "fountains": [{"vertex": 0, "side": "left", "from": -2},
+                                        {"vertex": 0, "side": "right", "from": 2}]}, "1000"),
+    ({"w": 2, "arcs": [[0, 3]], "fountains": []}, "600"),
+])
+def test_torsion_scan_budget_exit_code(tmp_path, capsys, doc, window):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "torsion", "--in", str(path), "--window", window)
+    assert code == 2 and out == ""
+    assert str(MAX_VERDICT_PAIRS) in err
 
 
 def test_orbit_enumerate_past_sixteen_objects(capsys):
@@ -214,15 +213,6 @@ def test_non_positive_window_is_usage_error(tmp_path, capsys, window, before):
     code, out, err = invoke(capsys, *(flag + request if before else request + flag))
     assert code == 64 and out == ""
     assert "--window" in err
-
-
-def test_non_positive_env_window_is_usage_error(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "ds.json"
-    path.write_text(json.dumps({"w": 2, "arcs": [[0, 3]], "fountains": []}))
-    monkeypatch.setenv("SPHTOR_WINDOW", "0")
-    code, _, err = invoke(capsys, "torsion", "--in", str(path))
-    assert code == 64
-    assert "SPHTOR_WINDOW must be positive" in err
 
 
 BAD_INPUTS = {

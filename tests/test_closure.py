@@ -10,7 +10,6 @@ from sphtor import (
     FountainDescriptor,
     FountainSide,
     InvalidArc,
-    NonConvergence,
     TooLarge,
     Verdict,
     WeightMismatch,
@@ -28,7 +27,7 @@ from sphtor import (
 )
 
 from sphtor.arcs import QuiverCoord, from_coord, suspend
-from sphtor.closure import _closedness_margin, _perp_sample
+from sphtor.closure import MAX_VERDICT_PAIRS, _closedness_margin, _perp_sample
 from sphtor.extensions import _both_middles, _connectors_ints
 
 from conftest import ALL_WEIGHTS, random_arc_sets
@@ -131,29 +130,30 @@ def test_symbolic_closure_shared_vertex_fountains_are_closed():
         ],
     )
     closed = symbolic_closure(ds)
-    assert closed.same_arcs(ds, -25, 25)
-    assert {(f.vertex, f.side) for f in closed.fountains} == {
-        (0, FountainSide.RIGHT),
-        (0, FountainSide.LEFT),
-    }
+    assert closed == ds
 
 
 def test_symbolic_closure_grows_new_fountains():
+    # the closure holds right fountains at -2 and at 1, which no descriptor
+    # set on the span presents, so it is refused rather than guessed
     ds = DescriptorSet(
         2, [arc(2, -2, 1)], [FountainDescriptor(0, FountainSide.RIGHT, 2)]
     )
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="new fountains"):
+        symbolic_closure(ds)
+    assert time.perf_counter() - start < 2
+    finite = ptolemy_closure(2, ds.instantiate(-10, 12))
+    assert {arc(2, -2, n) for n in range(3, 13)} | {arc(2, 1, n) for n in range(4, 13)} <= finite
+    assert is_torsion_class(ds, window=4).verdict is Verdict.NOT_CLOSED
+
+
+def test_symbolic_closure_adds_finitely_many_arcs():
+    ds = DescriptorSet(2, [arc(2, -4, -1)], [FountainDescriptor(0, FountainSide.LEFT, -2)])
     closed = symbolic_closure(ds)
-    spots = {(f.vertex, f.side) for f in closed.fountains}
-    assert (-2, FountainSide.RIGHT) in spots
-    assert (1, FountainSide.RIGHT) in spots
-    # windowed oracle: closure content within a window matches the finite
-    # closure of the instantiated window set
-    lo, hi = -10, 12
-    inst = ds.instantiate(lo, hi)
-    finite = ptolemy_closure(2, inst)
-    assert {a for a in finite if lo + 2 <= min(a.vertices) and max(a.vertices) <= hi - 2} <= set(
-        closed.instantiate(lo, hi)
-    )
+    assert closed.fountains == ds.fountains
+    assert closed.arcs == {arc(2, -4, -1), arc(2, -4, -2), arc(2, -3, -1)}
+    assert is_torsion_class(closed, window=4).verdict is not Verdict.NOT_CLOSED
 
 
 def test_contravariant_finiteness_rules():
@@ -300,6 +300,25 @@ def test_closedness_verdict_is_exact(ds, window):
     assert (verdict is not Verdict.NOT_CLOSED) == closed, ds
 
 
+@given(fountain_descriptors())
+@settings(max_examples=200, deadline=None)
+def test_symbolic_closure_is_exact(ds):
+    reach = 4 * _closedness_margin(ds.w)
+    lo0, hi0 = ds.span()
+    seed = ds.instantiate(lo0 - reach, hi0 + reach)
+    is_closed = is_torsion_class(ds, window=1).verdict is not Verdict.NOT_CLOSED
+    try:
+        closed = symbolic_closure(ds)
+    except TooLarge:
+        assert not is_closed, ds
+        return
+    members = closed.instantiate(lo0 - reach, hi0 + reach)
+    assert seed <= members, ds
+    assert _both_ways_closed(ds.w, members), ds
+    assert members <= ptolemy_closure(ds.w, seed), ds
+    assert (closed == ds) == is_closed, ds
+
+
 @given(fountain_descriptors(), st.integers(1, 6))
 @settings(max_examples=300, deadline=None)
 def test_perp_sample_is_exact(ds, window):
@@ -367,20 +386,30 @@ def test_perp_sample_refuses_a_runaway_window():
     assert time.perf_counter() - start < 2
 
 
+TWO_SIDED_W2 = {"w": 2, "arcs": [], "fountains": [{"vertex": 0, "side": "left", "from": -2},
+                                                  {"vertex": 0, "side": "right", "from": 2}]}
+ONE_ARC_W2 = {"w": 2, "arcs": [[0, 3]], "fountains": []}
+
+
+@pytest.mark.parametrize("doc, window", [(TWO_SIDED_W2, 1000), (TWO_SIDED_W2, 2000),
+                                         (ONE_ARC_W2, 600), (ONE_ARC_W2, 1000)])
+def test_verdict_budget_is_checked_before_either_scan(doc, window):
+    # unrefused, each scan runs for seconds: the pair check over the two-sided
+    # fountain's thousands of members, and the perp sample of the one arc
+    # over its 700 000 or more window arcs
+    ds = DescriptorSet.from_json_dict(doc)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=str(MAX_VERDICT_PAIRS)):
+        is_torsion_class(ds, window=window)
+    assert time.perf_counter() - start < 2
+
+
 @pytest.mark.parametrize("w", ALL_WEIGHTS)
 def test_every_finite_closed_set_is_a_torsion_class(w):
     for sample in random_arc_sets(w, 6, 25, 4, seed_base=31 * w):
         closed = ptolemy_closure(w, sample)
         rep = is_torsion_class(DescriptorSet(w, closed), window=8)
         assert rep.verdict is Verdict.TORSION_CLASS, (w, sample)
-
-
-def test_symbolic_closure_reports_nonconvergence_when_windows_disagree():
-    ds = DescriptorSet(
-        2, [arc(2, -2, 1)], [FountainDescriptor(0, FountainSide.RIGHT, 2)]
-    )
-    with pytest.raises(NonConvergence):
-        symbolic_closure(ds, max_doublings=0)
 
 
 @st.composite

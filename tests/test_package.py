@@ -16,7 +16,8 @@ def test_public_names_resolve_and_hold_no_modules():
     assert sphtor.__all__ == sorted(set(sphtor.__all__))
     for name in sphtor.__all__:
         assert not isinstance(getattr(sphtor, name), ModuleType), name
-    assert "db_functor" not in sphtor.__all__
+    for gone in ("db_functor", "NonConvergence", "report_window"):
+        assert gone not in sphtor.__all__
     for module in ("arcs", "closure", "errors", "extensions", "hammocks", "orbit", "tube"):
         assert module not in sphtor.__all__
 
