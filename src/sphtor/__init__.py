@@ -51,17 +51,12 @@ from .errors import (
     WeightMismatch,
 )
 from .extensions import (
-    ExtendedInterval,
     ExtensionClass,
-    IntervalKind,
     MultiExtensionOutcome,
     PtolemyArcs,
     e_set,
-    exray_leq,
-    extended_interval,
     middle_cohomology,
     middle_term_multi,
-    middle_term_multi_by_iteration,
     middle_terms,
     ptolemy_arcs,
 )
@@ -73,11 +68,7 @@ from .hammocks import (
     ext_dim_arc,
     hammock_side,
     hom_dim,
-    in_backward_ext,
-    in_backward_hom,
     in_forward_ext,
-    in_forward_hom,
-    interior_vertices,
 )
 from .orbit import (
     IntervalObject,

@@ -225,9 +225,17 @@ def relation(a: Arc, b: Arc) -> Relation:
 
 
 def arcs_in_window(w: int, lo: int, hi: int):
-    """Yield every admissible arc with both endpoints in [lo, hi], sorted."""
-    translation_step(w)
+    """Yield every admissible arc with both endpoints in [lo, hi], sorted.
+
+    The admissible lengths are |w| + k|w-1|, so each start t steps through
+    its ends directly: up from t + w for w >= 2, and up to t + w for w <= 0
+    from the least end in [lo, t + w] of the same residue.
+    """
+    step = abs(translation_step(w))
     for t in range(lo, hi + 1):
-        for u in range(t, hi + 1) if w >= 2 else range(lo, t + 1):
-            if _oriented_admissible(w, t, u):
-                yield Arc(t, u, w)
+        if w >= 2:
+            ends = range(t + w, hi + 1, step)
+        else:
+            ends = range(lo + (t + w - lo) % step, t + w + 1, step)
+        for u in ends:
+            yield Arc(t, u, w)

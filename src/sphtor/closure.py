@@ -32,7 +32,7 @@ from .hammocks import _hom_nonzero_ints
 
 DEFAULT_WINDOW = 40
 MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 objects
-MAX_VERDICT_PAIRS = 1 << 20  # window arcs times (members + 1), for both verdict scans
+MAX_VERDICT_PAIRS = 1 << 20  # pair budget of both verdict scans and of symbolic_closure
 
 
 def _close(seed: Iterable, pair_rule: Callable[..., Iterable]) -> FrozenSet:
@@ -388,13 +388,30 @@ def symbolic_closure(ds: DescriptorSet) -> DescriptorSet:
     ``is_torsion_class`` finds no unclosed pair on span ± M(w), it is the
     closure.  Otherwise the closure needs arcs past the span or new
     fountains, and the message names the pair that shows it.
+
+    Connectors never leave the seed's endpoints, so with A admissible arcs
+    on span ± M(w), A(A+1)/2 bounds the pairs of both the closure and the
+    check.  Past ``MAX_VERDICT_PAIRS`` it raises ``TooLarge`` before
+    instantiating anything.  A is counted by length: the admissible lengths
+    are |w| + k|w-1|, and a window of W+1 vertices holds W+1-L arcs of
+    length L.
     """
     lo0, hi0 = ds.span()
     margin = _closedness_margin(ds.w)
-    closed = ptolemy_closure(ds.w, ds.instantiate(lo0 - margin, hi0 + margin))
+    lo, hi = lo0 - margin, hi0 + margin
+    arcs_on = 0
+    for length in range(abs(ds.w), hi - lo + 1, abs(ds.w - 1)):
+        arcs_on += hi - lo + 1 - length
+        pairs = arcs_on * (arcs_on + 1) // 2
+        if pairs > MAX_VERDICT_PAIRS:
+            raise TooLarge(
+                f"refusing a closure of more than {MAX_VERDICT_PAIRS} pairs "
+                f"(at least {pairs} on [{lo}, {hi}])"
+            )
+    closed = ptolemy_closure(ds.w, ds.instantiate(lo, hi))
     inside = (a for a in closed if lo0 <= min(a.vertices) and max(a.vertices) <= hi0)
     out = DescriptorSet(ds.w, inside, ds.fountains)
-    pair, missing = _closedness_witness(out, lo0 - margin, hi0 + margin)
+    pair, missing = _closedness_witness(out, lo, hi)
     if pair is not None:
         raise TooLarge(
             f"the closure needs arcs past the span [{lo0}, {hi0}] or new fountains, which a "

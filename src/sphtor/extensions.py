@@ -221,12 +221,12 @@ def middle_cohomology(a: Arc, b: Arc, side: HammockSide) -> CohomologyVector:
     return CohomologyVector({degree - ca.shift: dim for degree, dim in dims.items()})
 
 
-class IntervalKind(Enum):
+class _IntervalKind(Enum):
     RAY = "ray"
     CORAY = "coray"
 
 
-class ExtendedInterval:
+class _ExtendedInterval:
     """Extended ray or coray of a hammock member: every arc at one vertex.
 
     Gluing the ray piece through the mouth to the Serre-twisted coray piece
@@ -252,14 +252,14 @@ class ExtendedInterval:
         ]
         return tuple(sorted(out))
 
-    def meet(self, other: "ExtendedInterval") -> Optional[Arc]:
+    def meet(self, other: "_ExtendedInterval") -> Optional[Arc]:
         """The unique arc on both extended intervals, if admissible."""
         if is_admissible(self.w, self.vertex, other.vertex):
             return arc(self.w, self.vertex, other.vertex)
         return None
 
     def __repr__(self) -> str:
-        return f"ExtendedInterval(vertex={self.vertex}, w={self.w})"
+        return f"_ExtendedInterval(vertex={self.vertex}, w={self.w})"
 
 
 def _side_for_order(a: Arc, b: Arc) -> HammockSide:
@@ -276,20 +276,20 @@ def _key_vertex(b: Arc, side: HammockSide) -> int:
     return b.t if side is HammockSide.FORWARD else b.u
 
 
-def extended_interval(a: Arc, b: Arc, kind: IntervalKind) -> ExtendedInterval:
+def _extended_interval(a: Arc, b: Arc, kind: _IntervalKind) -> _ExtendedInterval:
     """Extended ray/coray of ``b`` with respect to ``a`` (b in the hammock)."""
     require_same_weight(a, b)
     if ext_dim(b, a) == 0:
         raise NotInHammock(f"{b} is not in the Ext-hammock of {a}")
     side = _side_for_order(a, b)
-    if kind is IntervalKind.RAY:
+    if kind is _IntervalKind.RAY:
         vertex = _key_vertex(b, side)
     else:
         vertex = b.u if side is HammockSide.FORWARD else b.t
-    return ExtendedInterval(vertex, a.w)
+    return _ExtendedInterval(vertex, a.w)
 
 
-def exray_leq(a: Arc, b1: Arc, b2: Arc) -> bool:
+def _exray_leq(a: Arc, b1: Arc, b2: Arc) -> bool:
     """Total order on extended rays inside the Ext-hammock of ``a``.
 
     Comparison is by a nonnegative translate power carrying one mouth anchor
@@ -405,7 +405,7 @@ def _sorted_by_exray(a: Arc, arcs_list: Sequence[Arc]) -> List[Arc]:
     return sorted(arcs_list, key=lambda b: sign * _key_vertex(b, _side_for_order(a, b)))
 
 
-def middle_term_multi_by_iteration(a: Arc, bs: Sequence[Arc]) -> Tuple[Arc, ...]:
+def _middle_term_multi_by_iteration(a: Arc, bs: Sequence[Arc]) -> Tuple[Arc, ...]:
     """Independent route to the multi-extension middle: iterated pair splicing.
 
     Starting from the two-term calculus for the least term, each further term

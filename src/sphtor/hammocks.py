@@ -69,14 +69,14 @@ def _ext_nonzero_ints(w: int, at: int, au: int, bt: int, bu: int) -> bool:
     return _hom_nonzero_ints(w, bt, bu, at - 1, au - 1)
 
 
-def in_forward_hom(a: Arc, b: Arc) -> bool:
+def _in_forward_hom(a: Arc, b: Arc) -> bool:
     """True iff b lies in the forward Hom-hammock of a (same weight assumed)."""
     d = translation_step(a.w)
     ca, cb = to_coord(a), to_coord(b)
     return _forward_hom_ints(d, ca.shift, ca.level, cb.shift, cb.level)
 
 
-def in_backward_hom(a: Arc, b: Arc) -> bool:
+def _in_backward_hom(a: Arc, b: Arc) -> bool:
     """True iff b lies in the backward Hom-hammock of a."""
     d = translation_step(a.w)
     ca, cb = to_coord(a), to_coord(b)
@@ -97,7 +97,7 @@ def ext_dim(b: Arc, a: Arc) -> int:
     return hom_dim(b, suspend(a))
 
 
-def interior_vertices(a: Arc) -> Tuple[int, ...]:
+def _interior_vertices(a: Arc) -> Tuple[int, ...]:
     """The vertices s(a)+d, s(a)+2d, ..., e(a)-1 governing the Ext-hammock of a."""
     d = translation_step(a.w)
     k = (a.u - a.t - 1) // d
@@ -119,7 +119,7 @@ def in_forward_ext(a: Arc, b: Arc) -> bool:
     return _forward_ext_ints(a.w, a.t, a.u, b.t, b.u)
 
 
-def in_backward_ext(a: Arc, b: Arc) -> bool:
+def _in_backward_ext(a: Arc, b: Arc) -> bool:
     """Partial-fountain test for b in the backward Ext-hammock of a."""
     threshold = a.t - 1
     return any(

@@ -7,21 +7,25 @@ degree; a fundamental domain holds the degree 0..m-2 intervals plus the
 degree m-1 non-injectives.  The polygon model labels them by the diagonals of
 an N-gon, N = m(n+1) - 2, that cut it into pieces with vertex counts
 divisible by m.  The derived-category construction is authoritative; the
-polygon layer is a validated view (construction fails hard if the counts or
-the rotation equivariance do not come out).  Torsion classes are the sets
-closed under middle terms: ``closure`` closes one seed with the closure
-module's ``_close``, and ``torsion_classes`` lists them all with its
-``_closed_sets``, Close-by-One with an incremental closure loop of its own.
+bijection is checked at construction (it fails hard if the counts or the
+rotation equivariance do not come out).  On diagonals the relations are the
+T_{1-m} kernels on a lift: the m-diagonals are the arcs on the line 1..N at
+weight w = 1 - m, and ``_lift`` places a pair on that line with no contact
+across the cut.  Torsion classes are the sets closed under middle terms:
+``closure`` closes one seed with the closure module's ``_close``, and
+``torsion_classes`` lists them all with its ``_closed_sets``, Close-by-One
+with an incremental closure loop of its own.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
-from .arcs import _crossing_ints
+from .arcs import _crossing_ints, arcs_in_window
 from .closure import _close, _closed_sets
 from .errors import NoExtension, ParamsMismatch, ValidationFailure
+from .extensions import _connectors_ints
+from .hammocks import _ext_arc_nonzero_ints, _hom_nonzero_ints
 
 
 class IntervalObject(NamedTuple):
@@ -81,14 +85,6 @@ def db_serre(n: int, x: IntervalObject) -> IntervalObject:
     return db_suspend(db_translate(n, x))
 
 
-def _circular_in_order(N: int, *vertices: int) -> bool:
-    # weak clockwise circular order: repeated vertices allowed
-    total = 0
-    for cur, nxt in zip(vertices, vertices[1:] + vertices[:1]):
-        total += (nxt - cur) % N
-    return total == N or total == 0
-
-
 class OrbitCategory:
     """The orbit category at parameters (n, m), with its polygon model.
 
@@ -107,7 +103,10 @@ class OrbitCategory:
         self.m = m
         self.N = m * (n + 1) - 2
         self.objects: Tuple[IntervalObject, ...] = tuple(sorted(self._domain()))
-        self.diagonals: Tuple[MDiagonal, ...] = tuple(sorted(self._all_diagonals()))
+        # the m-diagonals are the T_{1-m} arcs on the vertex line
+        self.diagonals: Tuple[MDiagonal, ...] = tuple(
+            sorted(MDiagonal(a.u, a.t) for a in arcs_in_window(1 - m, 1, self.N))
+        )
         self._to_diag: Dict[IntervalObject, MDiagonal] = {
             x: self._diagonal_formula(x) for x in self.objects
         }
@@ -130,20 +129,6 @@ class OrbitCategory:
             for hi in range(lo, self.n):
                 out.append(IntervalObject(self.m - 1, lo, hi))
         return out
-
-    def is_m_diagonal(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        gap = (j - i) % self.N
-        return gap % self.m == self.m - 1
-
-    def _all_diagonals(self) -> List[MDiagonal]:
-        return [
-            MDiagonal(i, j)
-            for i in range(1, self.N + 1)
-            for j in range(i + 1, self.N + 1)
-            if self.is_m_diagonal(i, j)
-        ]
 
     def _wrap(self, v: int) -> int:
         return (v - 1) % self.N + 1
@@ -274,55 +259,46 @@ class OrbitCategory:
         i, j = self._wrap(d.i + k), self._wrap(d.j + k)
         return MDiagonal(min(i, j), max(i, j))
 
-    def tau_diag(self, d: MDiagonal) -> MDiagonal:
-        return self.rotate(d, -self.m)
+    def _lift(self, da: MDiagonal, db: MDiagonal) -> Tuple[int, int, int, int, int]:
+        """The pair as T_{1-m} arcs ``(at, au, bt, bu)`` on the line 1..N, and ``s``.
+
+        The map v -> (s - v) mod N + 1 is a rotation followed by a reflection
+        and its own inverse.  The reflection turns the rotation by +1 (the
+        suspension on diagonals) into the shift by -1 (the suspension on
+        arcs).  ``s`` is the least value that puts no endpoint of one chord
+        on 1 while the other has one on N, so no contact crosses the cut.
+        Three ordered pairs have none (the self-pair of the 2-gon, and the
+        crossing diameters of the square at m = 3); they take s = 0.
+        """
+        N = self.N
+        bad = set()  # s is a bad cut when s and s + 1 are endpoints of different chords
+        for x in da:
+            for y in db:
+                if (y - x) % N == 1:
+                    bad.add(x % N)
+                if (x - y) % N == 1:
+                    bad.add(y % N)
+        s = 0
+        while s in bad:
+            s += 1
+        s %= N  # s = N only when every cut is bad
+        ai, aj = (s - da.i) % N + 1, (s - da.j) % N + 1
+        bi, bj = (s - db.i) % N + 1, (s - db.j) % N + 1
+        return max(ai, aj), min(ai, aj), max(bi, bj), min(bi, bj), s
 
     def diagonal_hom_nonzero(self, da: MDiagonal, db: MDiagonal) -> bool:
-        """Circular-order Hom rule on diagonals (independent of db_hom_dim)."""
-        a1, a2 = da
-        for b1, b2 in ((db.i, db.j), (db.j, db.i)):
-            d1 = (b1 - a2) % self.N
-            d2 = (b2 - a1) % self.N
-            if d1 % self.m == 0 and d2 % self.m == 0 and _circular_in_order(
-                self.N, a2, b1, a1, b2
-            ):
-                return True
-        return False
+        """Hom on diagonals: the T_{1-m} Hom kernel on the lift (independent of db_hom_dim)."""
+        *ints, _ = self._lift(da, db)
+        return _hom_nonzero_ints(1 - self.m, *ints)
 
     def diagonal_ext_nonzero(self, db: MDiagonal, da: MDiagonal) -> bool:
-        """Arc-level Ext rule on diagonals (independent of db_hom_dim).
+        """Ext^1(db, da) on diagonals: the T_{1-m} Ext kernel on the lift.
 
-        Extensions of ``db`` by ``da`` exist exactly at: a neighbour touching
-        the clockwise successor of either endpoint of ``da``; a crossing
-        whose endpoints differ from ``da``'s by multiples of m; or ``db``
-        the rotation of ``da`` by one.
+        The rotation check catches the one contact a wrapped pair (no cut
+        free of contacts) leaves across the cut.
         """
-        a1, a2 = da
-        if db == self.rotate(da, 1):
-            return True
-        if self.diagonals_cross(da, db):
-            for b1, b2 in ((db.i, db.j), (db.j, db.i)):
-                d1 = (b1 - a2) % self.N
-                d2 = (b2 - a1) % self.N
-                if (
-                    d1 % self.m == 0
-                    and d2 % self.m == 0
-                    and d1 >= self.m
-                    and d2 >= self.m
-                    and _circular_in_order(
-                        self.N,
-                        self._wrap(a2 + self.m),
-                        b1,
-                        self._wrap(a1 + self.m),
-                        b2,
-                    )
-                ):
-                    return True
-            return False
-        if {da.i, da.j} & {db.i, db.j}:
-            return False
-        # with no shared vertex, touching a successor is circular distance 1
-        return self._wrap(a1 + 1) in (db.i, db.j) or self._wrap(a2 + 1) in (db.i, db.j)
+        *ints, _ = self._lift(da, db)
+        return db == self.rotate(da, 1) or _ext_arc_nonzero_ints(1 - self.m, *ints)
 
     def diagonals_cross(self, da: MDiagonal, db: MDiagonal) -> bool:
         # chords of a polygon labelled 1..N cross exactly when their endpoints
@@ -330,35 +306,11 @@ class OrbitCategory:
         return _crossing_ints(da.i, da.j, db.i, db.j)
 
     def ptolemy(self, da: MDiagonal, db: MDiagonal) -> FrozenSet[MDiagonal]:
-        """Connector diagonals of a pair, filtered to m-diagonals.
-
-        Crossing pairs contribute the class-I connectors; neighbouring pairs
-        (non-crossing, circular distance one) the class-II connectors; all
-        other pairs contribute nothing.
-        """
-        if da == db:
-            return frozenset()
-        out = set()
-        if self.diagonals_cross(da, db):
-            vertices = {da.i, da.j, db.i, db.j}
-            for x, y in itertools.combinations(sorted(vertices), 2):
-                if {x, y} in ({da.i, da.j}, {db.i, db.j}):
-                    continue
-                if self.is_m_diagonal(x, y):
-                    out.add(MDiagonal(x, y))
-            return frozenset(out)
-        if {da.i, da.j} & {db.i, db.j}:
-            return frozenset()
-        endpoints = [da.i, da.j, db.i, db.j]
-        for p, q in itertools.product((da.i, da.j), (db.i, db.j)):
-            if min((p - q) % self.N, (q - p) % self.N) != 1:
-                continue
-            rest = list(endpoints)
-            rest.remove(p)
-            rest.remove(q)
-            if self.is_m_diagonal(rest[0], rest[1]):
-                out.add(MDiagonal(min(rest), max(rest)))
-        return frozenset(out)
+        """Connector diagonals of a pair: the T_{1-m} connectors of the lift, mapped back."""
+        *ints, s = self._lift(da, db)
+        back = lambda v: (s - v) % self.N + 1
+        connectors = _connectors_ints(1 - self.m, *ints)[1]
+        return frozenset(MDiagonal(*sorted((back(c.t), back(c.u)))) for c in connectors) - {da, db}
 
     # -- closure and enumeration ------------------------------------------------
 

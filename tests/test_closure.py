@@ -156,6 +156,17 @@ def test_symbolic_closure_adds_finitely_many_arcs():
     assert is_torsion_class(closed, window=4).verdict is not Verdict.NOT_CLOSED
 
 
+@pytest.mark.parametrize("reach", [30, 10**6])
+def test_symbolic_closure_budget(reach):
+    # unrefused, the closure on span ± M(w) runs for seconds at reach 30
+    fountain = FountainDescriptor(0, FountainSide.RIGHT, 1)
+    ds = DescriptorSet(0, [arc(0, reach, -reach)], [fountain])
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=str(MAX_VERDICT_PAIRS)):
+        symbolic_closure(ds)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_contravariant_finiteness_rules():
     right = FountainDescriptor(0, FountainSide.RIGHT, 2)
     left = FountainDescriptor(0, FountainSide.LEFT, -2)

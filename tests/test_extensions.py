@@ -6,7 +6,6 @@ from sphtor import (
     Arc,
     CohomologyVector,
     HammockSide,
-    IntervalKind,
     NoExtension,
     NonOrthogonalInput,
     NotInHammock,
@@ -16,14 +15,11 @@ from sphtor import (
     cohomology,
     e_set,
     ext_dim,
-    exray_leq,
-    extended_interval,
     hammock_side,
     hom_dim,
     is_admissible,
     middle_cohomology,
     middle_term_multi,
-    middle_term_multi_by_iteration,
     middle_terms,
     ptolemy_arcs,
     ptolemy_closure,
@@ -31,6 +27,12 @@ from sphtor import (
     suspend,
 )
 from sphtor.arcs import QuiverCoord, from_coord
+from sphtor.extensions import (
+    _IntervalKind as IntervalKind,
+    _exray_leq as exray_leq,
+    _extended_interval as extended_interval,
+    _middle_term_multi_by_iteration as middle_term_multi_by_iteration,
+)
 
 from conftest import ALL_WEIGHTS
 

@@ -13,14 +13,16 @@ from sphtor import (
     ext_dim_arc,
     hammock_side,
     hom_dim,
-    in_backward_ext,
-    in_backward_hom,
     in_forward_ext,
-    in_forward_hom,
-    interior_vertices,
     serre,
     suspend,
     translate,
+)
+from sphtor.hammocks import (
+    _in_backward_ext as in_backward_ext,
+    _in_backward_hom as in_backward_hom,
+    _in_forward_hom as in_forward_hom,
+    _interior_vertices as interior_vertices,
 )
 
 from conftest import ALL_WEIGHTS

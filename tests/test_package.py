@@ -16,7 +16,12 @@ def test_public_names_resolve_and_hold_no_modules():
     assert sphtor.__all__ == sorted(set(sphtor.__all__))
     for name in sphtor.__all__:
         assert not isinstance(getattr(sphtor, name), ModuleType), name
-    for gone in ("db_functor", "NonConvergence", "report_window"):
+    for gone in (
+        "db_functor", "NonConvergence", "report_window",
+        "in_forward_hom", "in_backward_hom", "in_backward_ext", "interior_vertices",
+        "extended_interval", "exray_leq", "middle_term_multi_by_iteration",
+        "ExtendedInterval", "IntervalKind",
+    ):
         assert gone not in sphtor.__all__
     for module in ("arcs", "closure", "errors", "extensions", "hammocks", "orbit", "tube"):
         assert module not in sphtor.__all__
