@@ -13,10 +13,14 @@ the pairs that touch new members and stopping at the canonicity test.  A
 single engine serving both was tried and came out longer at the same speed.
 Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
 plus partial-fountain generators).  ``is_torsion_class`` decides them
-exactly by a pair check on a bounded instantiation.  ``symbolic_closure``
-closes one on the same bounds and returns the result only when that check
-proves it closed; a closure that needs arcs past the span or new fountains
-has no descriptor set, and it raises ``TooLarge``.
+exactly by a pair check on a bounded instantiation, and reports the perp
+sample of a torsion class by marking the members' Hom-hammocks on the window
+(``hammocks._hom_marks_ints``), one pass per member, not one test per window
+arc and member.  Both scans share one budget, an upper bound on their work
+counted from the window's admissible arcs.  ``symbolic_closure`` closes one
+on the same bounds and returns the result only when that check proves it
+closed; a closure that needs arcs past the span or new fountains has no
+descriptor set, and it raises ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Se
 from .arcs import Arc, arc, arcs_in_window, is_admissible, translation_step
 from .errors import InvalidArc, TooLarge, WeightMismatch, _json_int
 from .extensions import _both_middles, _connectors_ints
-from .hammocks import _hom_nonzero_ints
+from .hammocks import _hom_marks_ints
 
 DEFAULT_WINDOW = 40
 MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 objects
@@ -361,6 +365,19 @@ def _closedness_margin(w: int) -> int:
     return 2 * (abs(w) + 2 * abs(w - 1) + 2)
 
 
+def _arcs_on(w: int, lo: int, hi: int) -> int:
+    """The number of admissible arcs with both endpoints in [lo, hi].
+
+    The admissible lengths are |w| + k|w-1|, and a window of W+1 vertices
+    holds W+1-L arcs of length L; the sum over k has a closed form.
+    """
+    width, step = hi - lo + 1, abs(w - 1)
+    if width <= abs(w):
+        return 0
+    lengths = (width - 1 - abs(w)) // step + 1
+    return lengths * (width - abs(w)) - step * lengths * (lengths - 1) // 2
+
+
 def _closedness_witness(ds: DescriptorSet, lo: int, hi: int):
     """The first pair inside [lo, hi] that misses a connector, and the least it misses."""
     present = ds.instantiate(lo, hi)
@@ -390,24 +407,20 @@ def symbolic_closure(ds: DescriptorSet) -> DescriptorSet:
     fountains, and the message names the pair that shows it.
 
     Connectors never leave the seed's endpoints, so with A admissible arcs
-    on span ± M(w), A(A+1)/2 bounds the pairs of both the closure and the
-    check.  Past ``MAX_VERDICT_PAIRS`` it raises ``TooLarge`` before
-    instantiating anything.  A is counted by length: the admissible lengths
-    are |w| + k|w-1|, and a window of W+1 vertices holds W+1-L arcs of
-    length L.
+    on span ± M(w) (:func:`_arcs_on`), A(A+1)/2 bounds the pairs of both the
+    closure and the check.  Past ``MAX_VERDICT_PAIRS`` it raises
+    ``TooLarge`` before instantiating anything.
     """
     lo0, hi0 = ds.span()
     margin = _closedness_margin(ds.w)
     lo, hi = lo0 - margin, hi0 + margin
-    arcs_on = 0
-    for length in range(abs(ds.w), hi - lo + 1, abs(ds.w - 1)):
-        arcs_on += hi - lo + 1 - length
-        pairs = arcs_on * (arcs_on + 1) // 2
-        if pairs > MAX_VERDICT_PAIRS:
-            raise TooLarge(
-                f"refusing a closure of more than {MAX_VERDICT_PAIRS} pairs "
-                f"(at least {pairs} on [{lo}, {hi}])"
-            )
+    arcs_on = _arcs_on(ds.w, lo, hi)
+    pairs = arcs_on * (arcs_on + 1) // 2
+    if pairs > MAX_VERDICT_PAIRS:
+        raise TooLarge(
+            f"refusing a closure of more than {MAX_VERDICT_PAIRS} pairs "
+            f"({pairs} on [{lo}, {hi}])"
+        )
     closed = ptolemy_closure(ds.w, ds.instantiate(lo, hi))
     inside = (a for a in closed if lo0 <= min(a.vertices) and max(a.vertices) <= hi0)
     out = DescriptorSet(ds.w, inside, ds.fountains)
@@ -421,14 +434,20 @@ def symbolic_closure(ds: DescriptorSet) -> DescriptorSet:
 
 
 def _perp_sample(ds: DescriptorSet, lo: int, hi: int) -> Tuple[Arc, ...]:
-    """The arcs inside [lo, hi] that no member maps to, members taken within M(w) of it."""
+    """The arcs inside [lo, hi] that no member maps to, members taken within M(w) of it.
+
+    The members' Hom-hammocks are marked on the window first, one pass per
+    member over its columns, so each window arc costs one lookup.
+    """
     w = ds.w
+    d = w - 1
     margin = _closedness_margin(w)
     generators = ds.instantiate(lo - margin, hi + margin)
+    marks = _hom_marks_ints(w, ((x.t, x.u) for x in generators), lo, hi)
     return tuple(
         b
         for b in arcs_in_window(w, lo, hi)
-        if not any(_hom_nonzero_ints(w, x.t, x.u, b.t, b.u) for x in generators)
+        if not marks[b.u - lo] >> ((b.u - b.t - 1) // d - 1) & 1
     )
 
 
@@ -441,16 +460,19 @@ def is_torsion_class(ds: DescriptorSet, window: int = DEFAULT_WINDOW) -> Torsion
     else a one-sided wrong-side fountain gives ``NOT_CONTRAVARIANTLY_FINITE``;
     else ``TORSION_CLASS``.  The verdict does not depend on the window; a
     window below 1 raises ``ValueError``.  Before either scan, a window whose
-    arcs times one more than the members within M(w) of it exceed
-    ``MAX_VERDICT_PAIRS`` raises ``TooLarge``; that count bounds the perp
-    sample and the pair check on the window, whose members are window arcs.
+    admissible arcs (:func:`_arcs_on`) times one more than the members within
+    M(w) of it exceed ``MAX_VERDICT_PAIRS`` raises ``TooLarge``.  That count
+    is an upper bound for both scans, not their cost: the pair check on the
+    window pairs members that are window arcs, and the perp sample walks each
+    member's hammocks over the window's columns, then looks each window arc
+    up once.
     """
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
     lo0, hi0 = ds.span()
     lo, hi = lo0 - window, hi0 + window
     margin = _closedness_margin(ds.w)
-    pairs = (hi - lo + 1) * (hi - lo + 2) // 2
+    pairs = _arcs_on(ds.w, lo, hi)
     if pairs <= MAX_VERDICT_PAIRS:  # else refuse before instantiating anything
         pairs *= len(ds.instantiate(lo - margin, hi + margin)) + 1
     if pairs > MAX_VERDICT_PAIRS:

@@ -11,7 +11,7 @@ the routes on large windows is one of the package's acceptance gates.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .arcs import (
     Arc,
@@ -62,6 +62,39 @@ def _hom_nonzero_ints(w: int, at: int, au: int, bt: int, bu: int) -> bool:
     if _forward_hom_ints(d, ia, ja, ib, jb):
         return True
     return _backward_hom_ints(d, ia + w, ja, ib, jb)
+
+
+def _hom_marks_ints(w: int, sources: Iterable[Tuple[int, int]], lo: int, hi: int) -> List[int]:
+    """The window targets of the Hom-hammocks of ``sources``, one pass per source.
+
+    Entry u - lo is a bitmask over the levels of the arcs ending at u in
+    [lo, hi]: bit j is set iff some source (t, u) maps nonzero to the arc at
+    end u and level j, by the same coordinates as :func:`_hom_nonzero_ints`.
+    The forward hammock of a source x of level j_x marks the levels
+    [n, j_x + n] at end x.u + n·d (n >= 0); the backward one marks every
+    level >= j_x - n at end x.u - w - n·d (0 <= n <= j_x), a mask with all
+    high bits set.  Each walk starts where it enters [lo, hi], since a
+    source may lie far outside it.
+    """
+    d = w - 1
+    marks = [0] * (hi - lo + 1)
+    for t, u in sources:
+        j = (u - t - 1) // d - 1
+        # forward: ends u + n·d, from the first one inside [lo, hi]
+        n = max(0, -((u - (lo if d > 0 else hi)) // d))
+        band = (1 << (j + 1)) - 1
+        for end in range(u + n * d, hi + 1 if d > 0 else lo - 1, d):
+            marks[end - lo] |= band << n
+            n += 1
+        # backward: ends u - w - n·d for n <= j, from the first one inside
+        first = u - w
+        n = max(0, -((first - (hi if d > 0 else lo)) // -d))
+        stop = first - (j + 1) * d
+        stop = max(stop, lo - 1) if d > 0 else min(stop, hi + 1)
+        for end in range(first - n * d, stop, -d):
+            marks[end - lo] |= -1 << (j - n)
+            n += 1
+    return marks
 
 
 def _ext_nonzero_ints(w: int, at: int, au: int, bt: int, bu: int) -> bool:

@@ -11,7 +11,10 @@ bijection is checked at construction (it fails hard if the counts or the
 rotation equivariance do not come out).  On diagonals the relations are the
 T_{1-m} kernels on a lift: the m-diagonals are the arcs on the line 1..N at
 weight w = 1 - m, and ``_lift`` places a pair on that line with no contact
-across the cut.  Torsion classes are the sets closed under middle terms:
+across the cut.  Middle terms are read off each object's starting and ending
+frames, cached as bitmasks over the objects, so once an object's frames are
+known every ``e_set`` cell that uses them is a few mask operations.
+Torsion classes are the sets closed under middle terms:
 ``closure`` closes one seed with the closure module's ``_close``, and
 ``torsion_classes`` lists them all with its ``_closed_sets``, Close-by-One
 with an incremental closure loop of its own.
@@ -19,7 +22,7 @@ with an incremental closure loop of its own.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .arcs import _crossing_ints, arcs_in_window
 from .closure import _close, _closed_sets
@@ -113,8 +116,11 @@ class OrbitCategory:
         self._from_diag: Dict[MDiagonal, IntervalObject] = {
             d: x for x, d in self._to_diag.items()
         }
+        self._index: Dict[IntervalObject, int] = {x: i for i, x in enumerate(self.objects)}
         self._hom_cache: Dict[Tuple[IntervalObject, IntervalObject], int] = {}
         self._tau_cache: Dict[IntervalObject, IntervalObject] = {}
+        self._mask_cache: Dict[Tuple[IntervalObject, bool], int] = {}
+        self._frame_cache: Dict[IntervalObject, Tuple[int, int]] = {}
         self._validate()
 
     # -- construction ---------------------------------------------------------
@@ -211,37 +217,77 @@ class OrbitCategory:
         """dim Ext^1(b, a) via the AR formula against the translate of b."""
         return self.hom_dim(a, self.tau(b))
 
+    def _hom_mask(self, a: IntervalObject, into: bool) -> int:
+        """The objects ``a`` maps to, or with ``into`` those mapping to ``a``, as a bitmask.
+
+        One scan of ``self.objects`` by the rule of :meth:`hom_dim`, cached.
+        The orbit functor F is an autoequivalence of the derived category, so
+        Hom(a, F b) = Hom(F^-1 a, b) and each scan twists ``a`` alone.
+        """
+        key = (a, into)
+        mask = self._mask_cache.get(key)
+        if mask is None:
+            self._require(a)
+            n, twist = self.n, self.orbit_shift(a, 1 if into else -1)
+            mask = 0
+            for i, b in enumerate(self.objects):
+                if into:
+                    hit = db_hom_dim(n, b, a) or db_hom_dim(n, b, twist)
+                else:
+                    hit = db_hom_dim(n, a, b) or db_hom_dim(n, twist, b)
+                if hit:
+                    mask |= 1 << i
+            self._mask_cache[key] = mask
+        return mask
+
+    def _frame_masks(self, a: IntervalObject) -> Tuple[int, int]:
+        """Starting and ending frames of ``a`` as bitmasks over ``self.objects``, cached.
+
+        Ext^1(b, a) = Hom(a, tau b), so the starting frame keeps the targets b
+        of ``a`` whose translate ``a`` misses, and the ending frame keeps the
+        sources of ``a`` that do not map to tau a.
+        """
+        masks = self._frame_cache.get(a)
+        if masks is None:
+            out = self._hom_mask(a, False)
+            starts = 0
+            for b in self._objects_in(out):
+                if not out >> self._index[self.tau(b)] & 1:
+                    starts |= 1 << self._index[b]
+            ends = self._hom_mask(a, True) & ~self._hom_mask(self.tau(a), True)
+            masks = self._frame_cache[a] = (starts, ends)
+        return masks
+
+    def _objects_in(self, mask: int) -> Iterator[IntervalObject]:
+        """The objects of a bitmask, in the sorted order of ``self.objects``."""
+        while mask:
+            low = mask & -mask
+            yield self.objects[low.bit_length() - 1]
+            mask ^= low
+
     def frames(self, a: IntervalObject) -> Tuple[FrozenSet[IntervalObject], FrozenSet[IntervalObject]]:
         """Starting and ending frames: Hom-reachable, Ext-rigid neighbourhoods."""
-        self._require(a)
-        starts = frozenset(
-            b for b in self.objects if self.hom_dim(a, b) and not self.ext_dim(b, a)
-        )
-        ends = frozenset(
-            b for b in self.objects if self.hom_dim(b, a) and not self.ext_dim(a, b)
-        )
-        return starts, ends
+        starts, ends = self._frame_masks(a)
+        return frozenset(self._objects_in(starts)), frozenset(self._objects_in(ends))
+
+    def _middle_mask(self, a: IntervalObject, b: IntervalObject) -> int:
+        # the starting frame of a met with the ending frame of b
+        return self._frame_masks(a)[0] & self._frame_masks(b)[1]
 
     def middle_term(self, a: IntervalObject, b: IntervalObject) -> Tuple[IntervalObject, ...]:
         """Middle summands of the unique non-split extension of b by a."""
         if self.ext_dim(b, a) == 0:
             raise NoExtension(f"Ext^1({b},{a}) = 0 in C_{self.m}(A_{self.n})")
-        # the starting frame of a met with the ending frame of b, in one scan
-        return tuple(sorted(
-            x for x in self.objects
-            if self.hom_dim(a, x) and self.hom_dim(x, b)
-            and not self.ext_dim(x, a) and not self.ext_dim(b, x)
-        ))
+        return tuple(self._objects_in(self._middle_mask(a, b)))
 
     def e_set(self, a: IntervalObject, b: IntervalObject) -> FrozenSet[IntervalObject]:
-        out = set()
+        mask = 0
         if self.ext_dim(b, a):
-            out.update(self.middle_term(a, b))
+            mask |= self._middle_mask(a, b)
         if self.ext_dim(a, b):
-            out.update(self.middle_term(b, a))
-        out.discard(a)
-        out.discard(b)
-        return frozenset(out)
+            mask |= self._middle_mask(b, a)
+        mask &= ~(1 << self._index[a] | 1 << self._index[b])
+        return frozenset(self._objects_in(mask))
 
     # -- polygon layer ----------------------------------------------------------
 

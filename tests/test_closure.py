@@ -29,6 +29,7 @@ from sphtor import (
 from sphtor.arcs import QuiverCoord, from_coord, suspend
 from sphtor.closure import MAX_VERDICT_PAIRS, _closedness_margin, _perp_sample
 from sphtor.extensions import _both_middles, _connectors_ints
+from sphtor.hammocks import _hom_nonzero_ints
 
 from conftest import ALL_WEIGHTS, random_arc_sets
 
@@ -413,6 +414,19 @@ def test_verdict_budget_is_checked_before_either_scan(doc, window):
     with pytest.raises(TooLarge, match=str(MAX_VERDICT_PAIRS)):
         is_torsion_class(ds, window=window)
     assert time.perf_counter() - start < 2
+
+
+def test_verdict_budget_counts_admissible_arcs():
+    # [-700, 704] holds 987 715 integer pairs but 327 834 admissible arcs at
+    # w = 4, so the budget is 655 668, not 1 975 430
+    ds = DescriptorSet(4, [arc(4, 0, 4)])
+    rep = is_torsion_class(ds, window=700)
+    assert rep.verdict is Verdict.TORSION_CLASS
+    window_arcs = list(arcs_in_window(4, -700, 704))
+    assert len(window_arcs) == 327834
+    assert rep.perp_sample == tuple(
+        b for b in window_arcs if not _hom_nonzero_ints(4, 0, 4, b.t, b.u)
+    )
 
 
 @pytest.mark.parametrize("w", ALL_WEIGHTS)

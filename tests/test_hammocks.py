@@ -18,7 +18,11 @@ from sphtor import (
     suspend,
     translate,
 )
+from sphtor.arcs import arcs_in_window
+from sphtor.closure import _closedness_margin
 from sphtor.hammocks import (
+    _hom_marks_ints,
+    _hom_nonzero_ints,
     _in_backward_ext as in_backward_ext,
     _in_backward_hom as in_backward_hom,
     _in_forward_hom as in_forward_hom,
@@ -115,6 +119,20 @@ def test_self_extension_dimensions(w, window_arcs):
         if w != 0:
             for b in window_arcs(w, 9):
                 assert ext_dim(b, a) <= 1
+
+
+@pytest.mark.parametrize("w", ALL_WEIGHTS)
+def test_hom_marks_match_hom_kernel(w):
+    # sources reach past both edges of the window by the perp sample's margin
+    lo, hi = -6, 6
+    reach = _closedness_margin(w)
+    targets = list(arcs_in_window(w, lo, hi))
+    d = w - 1
+    for x in arcs_in_window(w, lo - reach, hi + reach):
+        marks = _hom_marks_ints(w, [(x.t, x.u)], lo, hi)
+        for b in targets:
+            marked = bool(marks[b.u - lo] >> ((b.u - b.t - 1) // d - 1) & 1)
+            assert marked == _hom_nonzero_ints(w, x.t, x.u, b.t, b.u), (x, b)
 
 
 def test_cohomology_examples():
