@@ -58,14 +58,6 @@ class Arc(NamedTuple):
     w: int
 
     @property
-    def start(self) -> int:
-        return self.t
-
-    @property
-    def end(self) -> int:
-        return self.u
-
-    @property
     def length(self) -> int:
         return abs(self.u - self.t)
 

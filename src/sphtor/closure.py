@@ -433,16 +433,15 @@ def symbolic_closure(ds: DescriptorSet) -> DescriptorSet:
     return out
 
 
-def _perp_sample(ds: DescriptorSet, lo: int, hi: int) -> Tuple[Arc, ...]:
-    """The arcs inside [lo, hi] that no member maps to, members taken within M(w) of it.
+def _perp_sample(w: int, generators: Iterable[Arc], lo: int, hi: int) -> Tuple[Arc, ...]:
+    """The arcs inside [lo, hi] that no generator maps to.
 
-    The members' Hom-hammocks are marked on the window first, one pass per
-    member over its columns, so each window arc costs one lookup.
+    The generators are the members within M(w) of the window
+    (:func:`_closedness_margin`).  Their Hom-hammocks are marked on the
+    window first, one pass per generator over its columns, so each window
+    arc costs one lookup.
     """
-    w = ds.w
     d = w - 1
-    margin = _closedness_margin(w)
-    generators = ds.instantiate(lo - margin, hi + margin)
     marks = _hom_marks_ints(w, ((x.t, x.u) for x in generators), lo, hi)
     return tuple(
         b
@@ -474,7 +473,8 @@ def is_torsion_class(ds: DescriptorSet, window: int = DEFAULT_WINDOW) -> Torsion
     margin = _closedness_margin(ds.w)
     pairs = _arcs_on(ds.w, lo, hi)
     if pairs <= MAX_VERDICT_PAIRS:  # else refuse before instantiating anything
-        pairs *= len(ds.instantiate(lo - margin, hi + margin)) + 1
+        generators = ds.instantiate(lo - margin, hi + margin)
+        pairs *= len(generators) + 1
     if pairs > MAX_VERDICT_PAIRS:
         raise TooLarge(
             f"refusing a pair check and perp sample of more than {MAX_VERDICT_PAIRS} pairs ({pairs})"
@@ -487,4 +487,4 @@ def is_torsion_class(ds: DescriptorSet, window: int = DEFAULT_WINDOW) -> Torsion
     bad = _unmatched_fountain(ds)
     if bad is not None:
         return TorsionReport(Verdict.NOT_CONTRAVARIANTLY_FINITE, witness_fountain=bad)
-    return TorsionReport(Verdict.TORSION_CLASS, perp_sample=_perp_sample(ds, lo, hi))
+    return TorsionReport(Verdict.TORSION_CLASS, perp_sample=_perp_sample(ds.w, generators, lo, hi))

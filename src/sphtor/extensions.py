@@ -9,7 +9,8 @@ ordered multi-extension formula for several Hom-orthogonal last terms.
 
 The pair answers come from two integer kernels on endpoints:
 ``_connectors_ints`` (the connector rule, from the crossing test) and
-``_middles_ints`` (the middles, from the Ext test and the hammock side).
+``_middles_ints`` (the middles, from the hammock side that
+``hammocks._side_ints`` decides, Ext test included).
 The arc closures call them once per pair; ``ptolemy_arcs``, ``e_set`` and
 ``middle_terms`` are thin wrappers that check the weight and shape the
 result.
@@ -17,7 +18,6 @@ result.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .arcs import (
@@ -36,8 +36,7 @@ from .errors import NoExtension, NonOrthogonalInput, NotInHammock
 from .hammocks import (
     CohomologyVector,
     HammockSide,
-    _ext_nonzero_ints,
-    _forward_ext_ints,
+    _side_ints,
     ext_dim,
     hammock_side,
     hom_dim,
@@ -126,14 +125,9 @@ def _middles_ints(
     a the side is ``BOTH_W0_SIGMA_A`` and the middles are those of the
     almost-split (forward) class.  The middles may include a or b.
     """
-    if not _ext_nonzero_ints(w, at, au, bt, bu):
+    side = _side_ints(w, at, au, bt, bu)
+    if side is None:
         return None, ()
-    if w == 0 and bt == at - 1 and bu == au - 1:
-        side = HammockSide.BOTH_W0_SIGMA_A
-    elif _forward_ext_ints(w, at, au, bt, bu):
-        side = HammockSide.FORWARD
-    else:
-        side = HammockSide.BACKWARD
     pairs = ((bt, at), (bu, au)) if side is HammockSide.BACKWARD else ((at, bu), (bt, au))
     return side, tuple(m for t, u in pairs if (m := _keep(w, t, u)) is not None)
 
@@ -221,47 +215,6 @@ def middle_cohomology(a: Arc, b: Arc, side: HammockSide) -> CohomologyVector:
     return CohomologyVector({degree - ca.shift: dim for degree, dim in dims.items()})
 
 
-class _IntervalKind(Enum):
-    RAY = "ray"
-    CORAY = "coray"
-
-
-class _ExtendedInterval:
-    """Extended ray or coray of a hammock member: every arc at one vertex.
-
-    Gluing the ray piece through the mouth to the Serre-twisted coray piece
-    sweeps out exactly the admissible arcs incident with a single vertex, so
-    the object reduces to that vertex plus membership/enumeration helpers.
-    """
-
-    __slots__ = ("vertex", "w")
-
-    def __init__(self, vertex: int, w: int):
-        translation_step(w)
-        self.vertex = vertex
-        self.w = w
-
-    def contains(self, x: Arc) -> bool:
-        return x.w == self.w and self.vertex in x.vertices
-
-    def arcs_within(self, lo: int, hi: int) -> Tuple[Arc, ...]:
-        out = [
-            arc(self.w, self.vertex, other)
-            for other in range(lo, hi + 1)
-            if is_admissible(self.w, self.vertex, other)
-        ]
-        return tuple(sorted(out))
-
-    def meet(self, other: "_ExtendedInterval") -> Optional[Arc]:
-        """The unique arc on both extended intervals, if admissible."""
-        if is_admissible(self.w, self.vertex, other.vertex):
-            return arc(self.w, self.vertex, other.vertex)
-        return None
-
-    def __repr__(self) -> str:
-        return f"_ExtendedInterval(vertex={self.vertex}, w={self.w})"
-
-
 def _side_for_order(a: Arc, b: Arc) -> HammockSide:
     side = hammock_side(b, a)
     if side is HammockSide.BOTH_W0_SIGMA_A:
@@ -274,19 +227,6 @@ def _side_for_order(a: Arc, b: Arc) -> HammockSide:
 
 def _key_vertex(b: Arc, side: HammockSide) -> int:
     return b.t if side is HammockSide.FORWARD else b.u
-
-
-def _extended_interval(a: Arc, b: Arc, kind: _IntervalKind) -> _ExtendedInterval:
-    """Extended ray/coray of ``b`` with respect to ``a`` (b in the hammock)."""
-    require_same_weight(a, b)
-    if ext_dim(b, a) == 0:
-        raise NotInHammock(f"{b} is not in the Ext-hammock of {a}")
-    side = _side_for_order(a, b)
-    if kind is _IntervalKind.RAY:
-        vertex = _key_vertex(b, side)
-    else:
-        vertex = b.u if side is HammockSide.FORWARD else b.t
-    return _ExtendedInterval(vertex, a.w)
 
 
 def _exray_leq(a: Arc, b1: Arc, b2: Arc) -> bool:

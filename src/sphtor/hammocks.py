@@ -11,7 +11,7 @@ the routes on large windows is one of the package's acceptance gates.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .arcs import (
     Arc,
@@ -130,13 +130,6 @@ def ext_dim(b: Arc, a: Arc) -> int:
     return hom_dim(b, suspend(a))
 
 
-def _interior_vertices(a: Arc) -> Tuple[int, ...]:
-    """The vertices s(a)+d, s(a)+2d, ..., e(a)-1 governing the Ext-hammock of a."""
-    d = translation_step(a.w)
-    k = (a.u - a.t - 1) // d
-    return tuple(a.t + i * d for i in range(1, k + 1))
-
-
 def _incidences(b: Arc) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     # (vertex, other endpoint) for both readings of b; identical for loops.
     return ((b.t, b.u), (b.u, b.t))
@@ -165,13 +158,11 @@ def _in_backward_ext(a: Arc, b: Arc) -> bool:
 def hammock_side(b: Arc, a: Arc) -> HammockSide:
     """Locate a non-rigid pair inside the Ext-hammock of ``a``."""
     w = require_same_weight(a, b)
-    if ext_dim(b, a) == 0:
+    translation_step(w)
+    side = _side_ints(w, a.t, a.u, b.t, b.u)
+    if side is None:
         raise NoExtension(f"Ext^1({b},{a}) = 0 at w={w}")
-    if w == 0 and b == suspend(a):
-        return HammockSide.BOTH_W0_SIGMA_A
-    if in_forward_ext(a, b):
-        return HammockSide.FORWARD
-    return HammockSide.BACKWARD
+    return side
 
 
 def _in_interior_ints(w: int, at: int, au: int, v: int, drop_last: bool) -> bool:
@@ -194,6 +185,21 @@ def _forward_ext_ints(w: int, at: int, au: int, bt: int, bu: int) -> bool:
         ):
             return True
     return False
+
+
+def _side_ints(w: int, at: int, au: int, bt: int, bu: int) -> Optional[HammockSide]:
+    """The half of the Ext-hammock of a that holds b, or None when Ext^1(b, a) = 0.
+
+    At w = 0 with b the suspension of a the Ext-space is two-dimensional and
+    the side is ``BOTH_W0_SIGMA_A``.
+    """
+    if not _ext_nonzero_ints(w, at, au, bt, bu):
+        return None
+    if w == 0 and bt == at - 1 and bu == au - 1:
+        return HammockSide.BOTH_W0_SIGMA_A
+    if _forward_ext_ints(w, at, au, bt, bu):
+        return HammockSide.FORWARD
+    return HammockSide.BACKWARD
 
 
 def _neighbour_incidence_ints(at: int, au: int, bt: int, bu: int) -> bool:

@@ -11,13 +11,16 @@ bijection is checked at construction (it fails hard if the counts or the
 rotation equivariance do not come out).  On diagonals the relations are the
 T_{1-m} kernels on a lift: the m-diagonals are the arcs on the line 1..N at
 weight w = 1 - m, and ``_lift`` places a pair on that line with no contact
-across the cut.  Middle terms are read off each object's starting and ending
-frames, cached as bitmasks over the objects, so once an object's frames are
-known every ``e_set`` cell that uses them is a few mask operations.
-Torsion classes are the sets closed under middle terms:
+across the cut.  On objects, Hom is decided once per object: ``_row`` scans
+the objects by the derived rule and caches the targets (or sources) as a
+bitmask over their indices.  ``hom_dim`` reads one bit of a row, ``ext_dim``
+the bit of the translate, an index list built at construction, and the
+starting and ending frames are masks of rows.  So every ``e_set`` cell
+(``_e_mask``, on indices) is a few mask operations once the frames of its
+pair are known.  Torsion classes are the sets closed under middle terms:
 ``closure`` closes one seed with the closure module's ``_close``, and
 ``torsion_classes`` lists them all with its ``_closed_sets``, Close-by-One
-with an incremental closure loop of its own.
+with an incremental closure loop of its own; both call ``_e_mask``.
 """
 
 from __future__ import annotations
@@ -88,6 +91,14 @@ def db_serre(n: int, x: IntervalObject) -> IntervalObject:
     return db_suspend(db_translate(n, x))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class OrbitCategory:
     """The orbit category at parameters (n, m), with its polygon model.
 
@@ -110,17 +121,13 @@ class OrbitCategory:
         self.diagonals: Tuple[MDiagonal, ...] = tuple(
             sorted(MDiagonal(a.u, a.t) for a in arcs_in_window(1 - m, 1, self.N))
         )
-        self._to_diag: Dict[IntervalObject, MDiagonal] = {
-            x: self._diagonal_formula(x) for x in self.objects
-        }
-        self._from_diag: Dict[MDiagonal, IntervalObject] = {
-            d: x for x, d in self._to_diag.items()
-        }
         self._index: Dict[IntervalObject, int] = {x: i for i, x in enumerate(self.objects)}
-        self._hom_cache: Dict[Tuple[IntervalObject, IntervalObject], int] = {}
-        self._tau_cache: Dict[IntervalObject, IntervalObject] = {}
-        self._mask_cache: Dict[Tuple[IntervalObject, bool], int] = {}
-        self._frame_cache: Dict[IntervalObject, Tuple[int, int]] = {}
+        self._diags: List[MDiagonal] = [self._diagonal_formula(x) for x in self.objects]
+        self._from_diag: Dict[MDiagonal, IntervalObject] = dict(zip(self._diags, self.objects))
+        # the translate on indices; tau lands in the domain, so every image is an object
+        self._tau: List[int] = [self._index[self.tau(x)] for x in self.objects]
+        self._rows: Dict[Tuple[int, bool], int] = {}
+        self._frame_memo: Dict[int, Tuple[int, int]] = {}
         self._validate()
 
     # -- construction ---------------------------------------------------------
@@ -151,13 +158,12 @@ class OrbitCategory:
                 f"count gate failed at (n={self.n}, m={self.m}): "
                 f"{len(self.objects)} objects vs {len(self.diagonals)} diagonals"
             )
-        image = set(self._to_diag.values())
-        if image != set(self.diagonals):
+        if set(self._diags) != set(self.diagonals):
             raise ValidationFailure("object-to-diagonal map is not a bijection")
-        for x in self.objects:
-            if self.rotate(self._to_diag[x], 1) != self._to_diag[self.sigma(x)]:
+        for i, x in enumerate(self.objects):
+            if self.rotate(self._diags[i], 1) != self.to_diagonal(self.sigma(x)):
                 raise ValidationFailure(f"suspension equivariance fails at {x}")
-            if self.rotate(self._to_diag[x], -self.m) != self._to_diag[self.tau(x)]:
+            if self.rotate(self._diags[i], -self.m) != self._diags[self._tau[i]]:
                 raise ValidationFailure(f"translate equivariance fails at {x}")
 
     # -- normal forms and functors --------------------------------------------
@@ -186,114 +192,118 @@ class OrbitCategory:
         return self.normalize(db_suspend(x))
 
     def tau(self, x: IntervalObject) -> IntervalObject:
-        cached = self._tau_cache.get(x)
-        if cached is None:
-            cached = self._tau_cache[x] = self.normalize(db_translate(self.n, x))
-        return cached
+        return self.normalize(db_translate(self.n, x))
 
     def serre(self, x: IntervalObject) -> IntervalObject:
         return self.normalize(db_serre(self.n, x))
 
-    def _require(self, x: IntervalObject) -> None:
-        if x not in self._to_diag:
-            raise ParamsMismatch(f"{x} is not an object of C_{self.m}(A_{self.n})")
+    def _idx(self, x: IntervalObject) -> int:
+        try:
+            return self._index[x]
+        except KeyError:
+            raise ParamsMismatch(f"{x} is not an object of C_{self.m}(A_{self.n})") from None
 
-    # -- hom and ext -----------------------------------------------------------
+    # -- hom and ext: one cached row per object ----------------------------------
 
-    def hom_dim(self, a: IntervalObject, b: IntervalObject) -> int:
-        """dim Hom: derived Hom into the orbit-functor twists k = 0 and 1."""
-        key = (a, b)
-        cached = self._hom_cache.get(key)
-        if cached is None:
-            self._require(a)
-            self._require(b)
-            cached = db_hom_dim(self.n, a, b) + db_hom_dim(
-                self.n, a, self.orbit_shift(b, 1)
-            )
-            self._hom_cache[key] = cached
-        return cached
+    def _row(self, i: int, into: bool) -> int:
+        """The objects object i maps to, or with ``into`` those mapping to it, as a bitmask.
 
-    def ext_dim(self, b: IntervalObject, a: IntervalObject) -> int:
-        """dim Ext^1(b, a) via the AR formula against the translate of b."""
-        return self.hom_dim(a, self.tau(b))
-
-    def _hom_mask(self, a: IntervalObject, into: bool) -> int:
-        """The objects ``a`` maps to, or with ``into`` those mapping to ``a``, as a bitmask.
-
-        One scan of ``self.objects`` by the rule of :meth:`hom_dim`, cached.
-        The orbit functor F is an autoequivalence of the derived category, so
-        Hom(a, F b) = Hom(F^-1 a, b) and each scan twists ``a`` alone.
+        Orbit Hom is the derived Hom into the orbit-functor twists k = 0 and
+        1 (the others vanish).  F is an autoequivalence of the derived
+        category, so Hom(a, F b) = Hom(F^-1 a, b), and one scan of
+        ``self.objects`` twists a alone.  Cached; the only caller of
+        :func:`db_hom_dim`.
         """
-        key = (a, into)
-        mask = self._mask_cache.get(key)
-        if mask is None:
-            self._require(a)
-            n, twist = self.n, self.orbit_shift(a, 1 if into else -1)
-            mask = 0
-            for i, b in enumerate(self.objects):
+        row = self._rows.get((i, into))
+        if row is None:
+            a, n = self.objects[i], self.n
+            twist = self.orbit_shift(a, 1 if into else -1)
+            row = 0
+            for j, b in enumerate(self.objects):
                 if into:
                     hit = db_hom_dim(n, b, a) or db_hom_dim(n, b, twist)
                 else:
                     hit = db_hom_dim(n, a, b) or db_hom_dim(n, twist, b)
                 if hit:
-                    mask |= 1 << i
-            self._mask_cache[key] = mask
-        return mask
+                    row |= 1 << j
+            self._rows[i, into] = row
+        return row
 
-    def _frame_masks(self, a: IntervalObject) -> Tuple[int, int]:
-        """Starting and ending frames of ``a`` as bitmasks over ``self.objects``, cached.
+    def _ext(self, i: int, j: int) -> int:
+        # Ext^1(j, i) = Hom(i, tau j), a bit of the row of i
+        return self._row(i, False) >> self._tau[j] & 1
+
+    def hom_dim(self, a: IntervalObject, b: IntervalObject) -> int:
+        """dim Hom(a, b): bit b of the row of a.
+
+        The bit is the whole dimension.  Hom(a, b) is the sum of the derived
+        Homs from a into b and into F b = suspension^m tau b, and each needs
+        a degree gap of 0 or 1.  F b has degree d_b + m, or d_b + m - 1 when
+        b.lo = 1, so both terms can be nonzero only at m = 2, d_a = d_b,
+        b.lo = 1, with F b = M[b.hi, n]@(d_b + 1).  Then Hom(a, b) needs
+        a.lo = 1, and Hom(a, F b) needs b.hi <= a.lo - 1 = 0, which fails.
+        """
+        return self._row(self._idx(a), False) >> self._idx(b) & 1
+
+    def ext_dim(self, b: IntervalObject, a: IntervalObject) -> int:
+        """dim Ext^1(b, a) via the AR formula: bit tau b of the row of a."""
+        return self._ext(self._idx(a), self._idx(b))
+
+    def _frame_masks(self, i: int) -> Tuple[int, int]:
+        """Starting and ending frames of object i as bitmasks over ``self.objects``, cached.
 
         Ext^1(b, a) = Hom(a, tau b), so the starting frame keeps the targets b
-        of ``a`` whose translate ``a`` misses, and the ending frame keeps the
-        sources of ``a`` that do not map to tau a.
+        of a whose translate a misses, and the ending frame keeps the sources
+        of a that do not map to tau a.
         """
-        masks = self._frame_cache.get(a)
+        masks = self._frame_memo.get(i)
         if masks is None:
-            out = self._hom_mask(a, False)
+            out = self._row(i, False)
             starts = 0
-            for b in self._objects_in(out):
-                if not out >> self._index[self.tau(b)] & 1:
-                    starts |= 1 << self._index[b]
-            ends = self._hom_mask(a, True) & ~self._hom_mask(self.tau(a), True)
-            masks = self._frame_cache[a] = (starts, ends)
+            for j in _bits(out):
+                if not out >> self._tau[j] & 1:
+                    starts |= 1 << j
+            ends = self._row(i, True) & ~self._row(self._tau[i], True)
+            masks = self._frame_memo[i] = (starts, ends)
         return masks
 
     def _objects_in(self, mask: int) -> Iterator[IntervalObject]:
         """The objects of a bitmask, in the sorted order of ``self.objects``."""
-        while mask:
-            low = mask & -mask
-            yield self.objects[low.bit_length() - 1]
-            mask ^= low
+        return (self.objects[j] for j in _bits(mask))
 
     def frames(self, a: IntervalObject) -> Tuple[FrozenSet[IntervalObject], FrozenSet[IntervalObject]]:
         """Starting and ending frames: Hom-reachable, Ext-rigid neighbourhoods."""
-        starts, ends = self._frame_masks(a)
+        starts, ends = self._frame_masks(self._idx(a))
         return frozenset(self._objects_in(starts)), frozenset(self._objects_in(ends))
 
-    def _middle_mask(self, a: IntervalObject, b: IntervalObject) -> int:
-        # the starting frame of a met with the ending frame of b
-        return self._frame_masks(a)[0] & self._frame_masks(b)[1]
+    def _e_mask(self, i: int, j: int) -> int:
+        """The ``e_set`` of objects i and j as a bitmask.
+
+        The middles of the extension of j by i are the starting frame of i
+        met with the ending frame of j.
+        """
+        mask = 0
+        if self._ext(i, j):
+            mask |= self._frame_masks(i)[0] & self._frame_masks(j)[1]
+        if self._ext(j, i):
+            mask |= self._frame_masks(j)[0] & self._frame_masks(i)[1]
+        return mask & ~(1 << i | 1 << j)
 
     def middle_term(self, a: IntervalObject, b: IntervalObject) -> Tuple[IntervalObject, ...]:
         """Middle summands of the unique non-split extension of b by a."""
-        if self.ext_dim(b, a) == 0:
+        i, j = self._idx(a), self._idx(b)
+        if not self._ext(i, j):
             raise NoExtension(f"Ext^1({b},{a}) = 0 in C_{self.m}(A_{self.n})")
-        return tuple(self._objects_in(self._middle_mask(a, b)))
+        return tuple(self._objects_in(self._frame_masks(i)[0] & self._frame_masks(j)[1]))
 
     def e_set(self, a: IntervalObject, b: IntervalObject) -> FrozenSet[IntervalObject]:
-        mask = 0
-        if self.ext_dim(b, a):
-            mask |= self._middle_mask(a, b)
-        if self.ext_dim(a, b):
-            mask |= self._middle_mask(b, a)
-        mask &= ~(1 << self._index[a] | 1 << self._index[b])
-        return frozenset(self._objects_in(mask))
+        """Middle summands of the extensions in both directions, minus a and b."""
+        return frozenset(self._objects_in(self._e_mask(self._idx(a), self._idx(b))))
 
     # -- polygon layer ----------------------------------------------------------
 
     def to_diagonal(self, x: IntervalObject) -> MDiagonal:
-        self._require(x)
-        return self._to_diag[x]
+        return self._diags[self._idx(x)]
 
     def from_diagonal(self, d: MDiagonal) -> IntervalObject:
         try:
@@ -362,10 +372,8 @@ class OrbitCategory:
 
     def closure(self, seed: Iterable[IntervalObject]) -> FrozenSet[IntervalObject]:
         """Least extension-closed object set containing the seed."""
-        seed = list(seed)
-        for x in seed:
-            self._require(x)
-        return _close(seed, self.e_set)
+        members = _close([self._idx(x) for x in seed], lambda i, j: _bits(self._e_mask(i, j)))
+        return frozenset(self.objects[i] for i in members)
 
     def closure_diagonals(self, seed: Iterable[MDiagonal]) -> FrozenSet[MDiagonal]:
         objs = self.closure(self.from_diagonal(d) for d in seed)
@@ -376,15 +384,10 @@ class OrbitCategory:
 
         Every extension-closed subset qualifies (the category is finite, so
         approximations exist for free).  Close-by-One lists them over
-        ``e_set`` on object indices, or raises ``TooLarge`` past 2^16.
-        ``e_set`` is called once per unordered pair the enumeration reaches,
-        so the work before ``TooLarge`` follows the sets visited, not the
-        object count.
+        ``_e_mask`` on object indices, or raises ``TooLarge`` past 2^16.
+        ``_e_mask`` is called once per unordered pair the enumeration
+        reaches, so the work before ``TooLarge`` follows the sets visited,
+        not the object count.
         """
-        objs = self.objects
-        index = {x: i for i, x in enumerate(objs)}
-        diagonals = [self.to_diagonal(x) for x in objs]
-        classes = _closed_sets(
-            len(objs), lambda i, j: [index[x] for x in self.e_set(objs[i], objs[j])]
-        )
-        return sorted(tuple(sorted(diagonals[i] for i in cls)) for cls in classes)
+        classes = _closed_sets(len(self.objects), lambda i, j: _bits(self._e_mask(i, j)))
+        return sorted(tuple(sorted(self._diags[i] for i in cls)) for cls in classes)

@@ -347,7 +347,9 @@ def test_perp_sample_is_exact(ds, window):
     # the margin argument does not use closedness, and on torsion classes
     # alone random draws give the same samples at a margin of 0, so every
     # drawn set is checked
-    assert _perp_sample(ds, lo, hi) == expected, ds
+    margin = _closedness_margin(ds.w)
+    generators = ds.instantiate(lo - margin, hi + margin)
+    assert _perp_sample(ds.w, generators, lo, hi) == expected, ds
     rep = is_torsion_class(ds, window=window)
     if rep.verdict is Verdict.TORSION_CLASS:
         assert rep.perp_sample == expected, ds

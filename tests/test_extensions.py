@@ -11,7 +11,6 @@ from sphtor import (
     NotInHammock,
     RelationKind,
     arc,
-    arcs_in_window,
     cohomology,
     e_set,
     ext_dim,
@@ -28,9 +27,7 @@ from sphtor import (
 )
 from sphtor.arcs import QuiverCoord, from_coord
 from sphtor.extensions import (
-    _IntervalKind as IntervalKind,
     _exray_leq as exray_leq,
-    _extended_interval as extended_interval,
     _middle_term_multi_by_iteration as middle_term_multi_by_iteration,
 )
 
@@ -225,21 +222,6 @@ def test_middle_cohomology_matches_summands(w, window_arcs):
             for middle in cls.middles:
                 total = total + cohomology(middle)
             assert total == middle_cohomology(a, b, cls.side), (a, b, cls)
-
-
-def test_extended_interval_is_vertex_pencil():
-    a, b = arc(2, 0, 5), arc(2, 4, 6)
-    ray = extended_interval(a, b, IntervalKind.RAY)
-    coray = extended_interval(a, b, IntervalKind.CORAY)
-    assert ray.vertex == 4 and coray.vertex == 6
-    assert ray.contains(arc(2, 4, 9)) and ray.contains(arc(2, 1, 4))
-    assert not ray.contains(arc(2, 5, 9))
-    assert ray.arcs_within(0, 8) == tuple(
-        sorted(x for x in arcs_in_window(2, 0, 8) if 4 in x.vertices)
-    )
-    assert ray.meet(coray) == arc(2, 4, 6)
-    with pytest.raises(NotInHammock):
-        extended_interval(a, arc(2, 20, 25), IntervalKind.RAY)
 
 
 def test_exray_order_example_and_totality():

@@ -26,7 +26,6 @@ from sphtor.hammocks import (
     _in_backward_ext as in_backward_ext,
     _in_backward_hom as in_backward_hom,
     _in_forward_hom as in_forward_hom,
-    _interior_vertices as interior_vertices,
 )
 
 from conftest import ALL_WEIGHTS
@@ -60,13 +59,6 @@ def test_weight_mismatch():
         hom_dim(arc(2, 0, 3), arc(3, 0, 3))
     with pytest.raises(WeightMismatch):
         ext_dim_arc(arc(2, 0, 3), arc(0, 3, 1))
-
-
-def test_interior_vertices():
-    assert interior_vertices(arc(2, 0, 3)) == (1, 2)
-    assert interior_vertices(arc(-2, 5, 0)) == (2, -1)
-    assert interior_vertices(arc(0, 3, 1)) == (2, 1, 0)
-    assert interior_vertices(arc(0, 4, 4)) == (3,)
 
 
 def test_hammock_side_examples():

@@ -1,3 +1,4 @@
+import ast
 import glob
 import json
 import os
@@ -25,6 +26,28 @@ def test_public_names_resolve_and_hold_no_modules():
         assert gone not in sphtor.__all__
     for module in ("arcs", "closure", "errors", "extensions", "hammocks", "orbit", "tube"):
         assert module not in sphtor.__all__
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(
+        os.path.basename(p)
+        for p in glob.glob(os.path.join(ROOT, "src", "sphtor", "*.py"))
+        if not p.endswith("__init__.py")
+    ),
+)
+def test_module_imports_are_used(module):
+    # a deletion that leaves its import behind; only __init__.py re-exports
+    with open(os.path.join(ROOT, "src", "sphtor", module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 def test_benchmark_selftest_passes():
