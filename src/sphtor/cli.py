@@ -287,14 +287,13 @@ def _orbit_closure(args):
 
 def _orbit_enumerate(args):
     """One JSON document per torsion class, then a CSV summary line."""
-    classes = OrbitCategory(args.n, args.m).torsion_classes()
-    lines = [
-        json.dumps(
-            {"n": args.n, "m": args.m, "diagonals": [[d.i, d.j] for d in cls]},
-            sort_keys=True,
-        )
-        for cls in classes
-    ]
+    cat = OrbitCategory(args.n, args.m)
+    classes = cat.torsion_classes()
+    # json renders the envelope and each diagonal once; a class line joins them
+    envelope = json.dumps({"diagonals": [], "m": args.m, "n": args.n}, sort_keys=True)
+    head, tail = envelope.split("[]")
+    rendered = {d: json.dumps([d.i, d.j]) for d in cat.diagonals}
+    lines = [f"{head}[{', '.join(map(rendered.__getitem__, cls))}]{tail}" for cls in classes]
     lines += ["n,m,count", f"{args.n},{args.m},{len(classes)}"]
     return "\n".join(lines) + "\n", None
 

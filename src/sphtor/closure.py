@@ -7,10 +7,12 @@ middle summands of both extensions), once the weights are checked, and
 :meth:`sphtor.orbit.OrbitCategory.closure` feeds it orbit-category middle
 terms.  Finite arc sets close without leaving their own endpoint set, so the
 fixpoint is finite and cheap.  ``_closed_sets`` lists every closed set of a
-finite universe by Close-by-One, up to ``MAX_CLOSED_SETS``, and closes each
+finite universe by lazy FCbO, up to ``MAX_CLOSED_SETS``, and closes each
 child in a loop of its own: on bitsets, from its closed parent, firing only
 the pairs that touch new members and stopping at the canonicity test.  A
-single engine serving both was tried and came out longer at the same speed.
+failed test is inherited by the descendants, which skip their child at
+the same index, unclosed, when it must fail too.  A single engine serving
+both was tried and came out longer at the same speed.
 Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
 plus partial-fountain generators).  ``is_torsion_class`` decides them
 exactly by a pair check on a bounded instantiation, and reports the perp
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations_with_replacement
-from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .arcs import Arc, arc, arcs_in_window, is_admissible, translation_step
 from .errors import InvalidArc, TooLarge, WeightMismatch, _json_int
@@ -62,14 +64,21 @@ def _close(seed: Iterable, pair_rule: Callable[..., Iterable]) -> FrozenSet:
 def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> Iterable[FrozenSet[int]]:
     """Every subset of ``range(k)`` closed under ``pair_rule``, in lectic order.
 
-    Close-by-One with incremental closure: the children of a closed set A,
-    found by adding i, are the closures of A plus i for i above the index
-    that produced A, kept when nothing below i joins (the canonicity test).
-    A child's closure only fires the pairs that touch its new members, and
-    stops at the first member below i.  Children are tried in descending i,
-    depth first, which is lectic order.  ``pair_rule`` must be symmetric:
-    each cell is asked for once, as a bitmask, when the search first needs
-    it.  Raises ``TooLarge`` rather than yield more than ``MAX_CLOSED_SETS``.
+    Lazy FCbO (Outrata & Vychodil 2012) with incremental closure.  The
+    children of a closed set A, found by adding i, are the closures of A plus
+    i for i above the index that produced A, kept when nothing below i joins
+    (the canonicity test).  A child's closure only fires the pairs that touch
+    its new members, and stops at the first member below i.  Children are
+    closed one at a time in descending i, depth first, which is lectic order.
+    A failed test at i keeps the mask closed so far as ``failed[i]``, and
+    the descendants inherit it: they contain A, so their child at i closes
+    over that mask too, and they skip it unless they hold every member of it
+    below i.  Every sibling above i is tried before the child at i descends,
+    which only tries indices above i, so laziness loses none of FCbO's
+    pruning.  ``failed`` is a dict copied per frame, so a copy costs the
+    failures, not k.  ``pair_rule`` must be symmetric: each cell is asked for
+    once, as a bitmask, when the search first needs it.  Raises ``TooLarge``
+    rather than yield more than ``MAX_CLOSED_SETS``.
     """
     rows: List[Optional[List[Optional[int]]]] = [None] * k
 
@@ -79,8 +88,11 @@ def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> Iterable[FrozenS
             cells = rows[x] = [None] * k
         return cells
 
-    def extend(mask: int, members: List[int], i: int) -> Optional[Tuple[int, List[int], int]]:
-        """Closure of the closed set ``members`` plus i, or None if not canonical."""
+    def extend(mask: int, members: List[int], i: int) -> Tuple[int, Optional[List[int]]]:
+        """Closure of the closed set ``members`` plus i as (mask, members).
+
+        Not canonical: (the mask so far, None).
+        """
         below = (1 << i) - 1
         mask |= 1 << i
         members = members + [i]
@@ -99,26 +111,29 @@ def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> Iterable[FrozenS
                 acc |= cell
             new = acc & ~mask
             if new:
-                if new & below:
-                    return None
                 mask |= new
+                if new & below:
+                    return mask, None
                 while new:
                     low = new & -new
                     members.append(low.bit_length() - 1)
                     new ^= low
             p += 1
-        return mask, members, i
+        return mask, members
 
-    def children(mask: int, members: List[int], last: int):
+    def children(mask: int, members: List[int], last: int, failed: Dict[int, int]):
         for i in range(k - 1, last, -1):
-            if not mask >> i & 1:
-                child = extend(mask, members, i)
-                if child is not None:
-                    yield child
+            if mask >> i & 1 or i in failed and failed[i] & ~mask & ((1 << i) - 1):
+                continue
+            child, child_members = extend(mask, members, i)
+            if child_members is None:
+                failed[i] = child
+            else:
+                yield child, child_members, i, failed.copy()
 
     yield frozenset()
     count = 1
-    stack = [children(0, [], -1)]
+    stack = [children(0, [], -1, {})]
     while stack:
         child = next(stack[-1], None)
         if child is None:

@@ -19,8 +19,10 @@ starting and ending frames are masks of rows.  So every ``e_set`` cell
 (``_e_mask``, on indices) is a few mask operations once the frames of its
 pair are known.  Torsion classes are the sets closed under middle terms:
 ``closure`` closes one seed with the closure module's ``_close``, and
-``torsion_classes`` lists them all with its ``_closed_sets``, Close-by-One
-with an incremental closure loop of its own; both call ``_e_mask``.
+``torsion_classes`` lists them all with its ``_closed_sets``, lazy FCbO with
+an incremental closure loop of its own, over diagonal ranks (indices into
+the sorted ``diagonals``) so that a class sorts as a tuple of ints; both
+call ``_e_mask``.
 """
 
 from __future__ import annotations
@@ -383,11 +385,22 @@ class OrbitCategory:
         """All torsion classes, as sorted diagonal tuples in lexicographic order.
 
         Every extension-closed subset qualifies (the category is finite, so
-        approximations exist for free).  Close-by-One lists them over
-        ``_e_mask`` on object indices, or raises ``TooLarge`` past 2^16.
+        approximations exist for free).  Lazy FCbO lists them over diagonal
+        ranks, the indices into the sorted ``self.diagonals``, so a class is
+        sorted as a tuple of ints and the list once, before the ranks become
+        diagonals in place.  The pair rule maps ranks to object indices for
+        ``_e_mask`` and back; past 2^16 classes it raises ``TooLarge``.
         ``_e_mask`` is called once per unordered pair the enumeration
         reaches, so the work before ``TooLarge`` follows the sets visited,
         not the object count.
         """
-        classes = _closed_sets(len(self.objects), lambda i, j: _bits(self._e_mask(i, j)))
-        return sorted(tuple(sorted(self._diags[i] for i in cls)) for cls in classes)
+        rank = {d: r for r, d in enumerate(self.diagonals)}
+        to_rank = [rank[d] for d in self._diags]
+        to_index = [self._index[self._from_diag[d]] for d in self.diagonals]
+        rule = lambda a, b: [to_rank[j] for j in _bits(self._e_mask(to_index[a], to_index[b]))]
+        classes = sorted(tuple(sorted(cls)) for cls in _closed_sets(len(self.objects), rule))
+        diagonals = self.diagonals
+        for c, cls in enumerate(classes):
+            # from a list, not a generator, so each tuple is allocated at its size
+            classes[c] = tuple([diagonals[r] for r in cls])
+        return classes

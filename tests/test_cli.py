@@ -5,6 +5,7 @@ import pytest
 from conftest import cli_leaves
 from sphtor.cli import build_parser, run
 from sphtor.closure import MAX_CLOSED_SETS, MAX_VERDICT_PAIRS
+from sphtor.orbit import OrbitCategory
 
 
 def invoke(capsys, *argv):
@@ -170,6 +171,26 @@ def test_orbit_enumerate_past_sixteen_objects(capsys):
     code, out, _ = invoke(capsys, "orbit", "enumerate", "--n", "5", "--m", "2")
     assert code == 0
     assert out.endswith("n,m,count\n5,2,10302\n")
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 3), (1, 12)])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_orbit_enumerate_lines_are_json_of_each_class(tmp_path, capsys, n, m, fmt, to_file):
+    # the golden file pins (2, 2) only; every line must be json.dumps of its class
+    argv = ["orbit", "enumerate", "--n", str(n), "--m", str(m), "--format", fmt]
+    path = tmp_path / "classes.txt"
+    code, out, _ = invoke(capsys, *argv, *(["--out", str(path)] if to_file else []))
+    assert code == 0
+    if to_file:
+        assert out == ""
+        out = path.read_text(encoding="utf-8")
+    classes = OrbitCategory(n, m).torsion_classes()
+    expected = [
+        json.dumps({"n": n, "m": m, "diagonals": [[d.i, d.j] for d in cls]}, sort_keys=True)
+        for cls in classes
+    ]
+    assert out == "\n".join(expected + ["n,m,count", f"{n},{m},{len(classes)}"]) + "\n"
 
 
 UNWRITABLE = {

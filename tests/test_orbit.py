@@ -311,9 +311,9 @@ def _next_closure(k, pair_rule):
 
 
 @st.composite
-def symmetric_rules(draw):
-    k = draw(st.integers(0, 10))
-    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4]))
+def symmetric_rules(draw, min_k=0, max_k=10, densities=(0.0, 0.05, 0.15, 0.4)):
+    k = draw(st.integers(min_k, max_k))
+    density = draw(st.sampled_from(densities))
     table = [[()] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
@@ -323,9 +323,22 @@ def symmetric_rules(draw):
     return k, table
 
 
+# big and dense enough that canonicity fails below the root, so the failures
+# the descendants inherit prune children
+dense_symmetric_rules = symmetric_rules(min_k=6, max_k=12, densities=(0.2, 0.4, 0.6))
+
+
 @given(symmetric_rules())
 @settings(max_examples=200, deadline=None)
 def test_closed_sets_follow_next_closure(case):
+    k, table = case
+    rule = lambda i, j: table[i][j]
+    assert list(_closed_sets(k, rule)) == list(_next_closure(k, rule))
+
+
+@given(dense_symmetric_rules)
+@settings(max_examples=100, deadline=None)
+def test_closed_sets_follow_next_closure_when_failures_are_inherited(case):
     k, table = case
     rule = lambda i, j: table[i][j]
     assert list(_closed_sets(k, rule)) == list(_next_closure(k, rule))
