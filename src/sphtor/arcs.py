@@ -142,13 +142,9 @@ class QuiverCoord(NamedTuple):
 def to_coord(a: Arc) -> QuiverCoord:
     """Arc -> quiver coordinate, in the gauge that pins level 0, shift 0 to (-d-1, 0)."""
     d = translation_step(a.w)
-    span = a.u - a.t - 1
-    if span % d != 0:
+    if not _oriented_admissible(a.w, a.t, a.u):
         raise InvalidArc(f"{a} is not admissible for w={a.w}")
-    level = span // d - 1
-    if level < 0:
-        raise InvalidArc(f"{a} is not admissible for w={a.w}")
-    return QuiverCoord(shift=-a.u, level=level)
+    return QuiverCoord(shift=-a.u, level=(a.u - a.t - 1) // d - 1)
 
 
 def from_coord(w: int, c: QuiverCoord) -> Arc:

@@ -254,11 +254,10 @@ def _orbit_pair(args) -> tuple:
 
 def _orbit_list(args):
     cat = OrbitCategory(args.n, args.m)
-    rows = sorted((cat.to_diagonal(x), x) for x in cat.objects)
-    text = "\n".join(f"{d}  <->  {x}" for d, x in rows)
+    text = "\n".join(f"{d}  <->  {x}" for d, x in zip(cat.diagonals, cat.objects))
     return text, {"n": args.n, "m": args.m, "N": cat.N,
-                  "diagonals": [[d.i, d.j] for d, _ in rows],
-                  "objects": [[x.degree, x.lo, x.hi] for _, x in rows]}
+                  "diagonals": [[d.i, d.j] for d in cat.diagonals],
+                  "objects": [[x.degree, x.lo, x.hi] for x in cat.objects]}
 
 
 def _orbit_hom(args):

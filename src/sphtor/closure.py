@@ -1,18 +1,23 @@
 """Extension closure, fountains, and torsion-class verdicts.
 
-This module has two closure loops.  ``_close`` is the least set closed
-under a symmetric pair rule, for one seed.  The arc closures feed it the
-integer pair kernels of :mod:`sphtor.extensions` (connector arcs, or the
-middle summands of both extensions), once the weights are checked, and
-:meth:`sphtor.orbit.OrbitCategory.closure` feeds it orbit-category middle
-terms.  Finite arc sets close without leaving their own endpoint set, so the
-fixpoint is finite and cheap.  ``_closed_sets`` lists every closed set of a
-finite universe by lazy FCbO, up to ``MAX_CLOSED_SETS``, and closes each
-child in a loop of its own: on bitsets, from its closed parent, firing only
-the pairs that touch new members and stopping at the canonicity test.  A
-failed test is inherited by the descendants, which skip their child at
-the same index, unclosed, when it must fail too.  A single engine serving
-both was tried and came out longer at the same speed.
+This module has two closure loops, with one member order.  ``_close`` is
+the least set closed under a symmetric pair rule, for one seed: its members
+are a list, the sorted seed and then each member in the order it is found,
+and member p meets itself and every member before it once.  The arc
+closures feed it the integer pair kernels of :mod:`sphtor.extensions`
+(connector arcs, or the middle summands of both extensions), once the
+weights are checked, and :meth:`sphtor.orbit.OrbitCategory.closure` feeds
+it orbit-category middle terms.  Finite arc sets close without leaving
+their own endpoint set, so the fixpoint is finite and cheap.
+``_closed_sets`` lists every closed set of a finite universe by lazy FCbO,
+up to ``MAX_CLOSED_SETS``, and closes each child by the same loop on
+bitsets, from its closed parent, firing only the pairs that touch new
+members and stopping at the canonicity test.  A failed test is inherited
+by the descendants, which skip their child at the same index, unclosed,
+when it must fail too.  It keeps each cell of the pair rule for the whole
+enumeration, which ``_close`` has no use for: asking the rule once per pair
+visited instead took ``torsion_classes`` at (4, 3) from 0.23-0.28 s to
+0.65-0.74 s (three alternated runs of three, 2-CPU host).
 Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
 plus partial-fountain generators).  ``is_torsion_class`` decides them
 exactly by a pair check on a bounded instantiation, and reports the perp
@@ -28,7 +33,6 @@ descriptor set, and it raises ``TooLarge``.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations_with_replacement
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .arcs import Arc, arc, arcs_in_window, is_admissible, translation_step
@@ -44,21 +48,22 @@ MAX_VERDICT_PAIRS = 1 << 20  # pair budget of both verdict scans and of symbolic
 def _close(seed: Iterable, pair_rule: Callable[..., Iterable]) -> FrozenSet:
     """Least superset of ``seed`` closed under a symmetric pair rule.
 
-    The closure loop for one seed (``_closed_sets`` has its own, incremental
-    one): every pair of members, including each member with itself, is fed
-    to ``pair_rule`` once, and whatever it returns joins the set and is
-    paired with all members.
+    The closure loop for one seed (``_closed_sets`` runs the same loop on
+    bitsets, from a closed parent).  The members are a list: the sorted seed,
+    then each new member in the order it is found.  Member p is fed to
+    ``pair_rule`` with itself and with every member before it, once, and
+    whatever the rule returns is appended, so it meets all members when its
+    own turn comes.
     """
-    members = set(seed)
-    queue = list(combinations_with_replacement(members, 2))
-    while queue:
-        a, b = queue.pop()
-        for m in pair_rule(a, b):
-            if m not in members:
-                queue.extend((m, c) for c in members)
-                queue.append((m, m))
-                members.add(m)
-    return frozenset(members)
+    members = sorted(set(seed))
+    seen = set(members)
+    for p, x in enumerate(members):  # reaches the members appended on the way
+        for y in members[: p + 1]:
+            for z in pair_rule(x, y):
+                if z not in seen:
+                    seen.add(z)
+                    members.append(z)
+    return frozenset(seen)
 
 
 def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> Iterable[FrozenSet[int]]:
@@ -394,17 +399,19 @@ def _arcs_on(w: int, lo: int, hi: int) -> int:
 
 
 def _closedness_witness(ds: DescriptorSet, lo: int, hi: int):
-    """The first pair inside [lo, hi] that misses a connector, and the least it misses."""
+    """The first pair inside [lo, hi] that misses a connector, and the least it misses.
+
+    Missing means absent from the instantiation, with no separate fountain
+    test: a connector of two members on [lo, hi] has its endpoints among
+    theirs, so in [lo, hi], and a fountain covering it has its vertex at one
+    of them and steps through the other, so ``instantiate`` already holds it.
+    """
     present = ds.instantiate(lo, hi)
     ordered = sorted(present)
     # the connector rule is symmetric, so the first ordered hit has a <= b
     for i, a in enumerate(ordered):
         for b in ordered[i:]:
-            missing = [
-                m
-                for m in _connectors_ints(ds.w, a.t, a.u, b.t, b.u)[1]
-                if m not in present and not any(f.covers(ds.w, m) for f in ds.fountains)
-            ]
+            missing = [m for m in _connectors_ints(ds.w, a.t, a.u, b.t, b.u)[1] if m not in present]
             if missing:
                 # the least, so the witness depends on the inputs alone
                 return (a, b), min(missing)

@@ -11,18 +11,20 @@ bijection is checked at construction (it fails hard if the counts or the
 rotation equivariance do not come out).  On diagonals the relations are the
 T_{1-m} kernels on a lift: the m-diagonals are the arcs on the line 1..N at
 weight w = 1 - m, and ``_lift`` places a pair on that line with no contact
-across the cut.  On objects, Hom is decided once per object: ``_row`` scans
-the objects by the derived rule and caches the targets (or sources) as a
-bitmask over their indices.  ``hom_dim`` reads one bit of a row, ``ext_dim``
-the bit of the translate, an index list built at construction, and the
-starting and ending frames are masks of rows.  So every ``e_set`` cell
-(``_e_mask``, on indices) is a few mask operations once the frames of its
-pair are known.  Torsion classes are the sets closed under middle terms:
-``closure`` closes one seed with the closure module's ``_close``, and
-``torsion_classes`` lists them all with its ``_closed_sets``, lazy FCbO with
-an incremental closure loop of its own, over diagonal ranks (indices into
-the sorted ``diagonals``) so that a class sorts as a tuple of ints; both
-call ``_e_mask``.
+across the cut.  There is one index space: the objects are sorted by the
+diagonal each lies on, so object i lies on ``diagonals[i]``, the i-th
+diagonal in sorted order.  On objects, Hom is decided once per object:
+``_row`` scans the objects by the derived rule and caches the targets (or
+sources) as a bitmask over their indices.  ``hom_dim`` reads one bit of a
+row, ``ext_dim`` the bit of the translate, an index list built at
+construction, and the starting and ending frames are masks of rows.  So
+every ``e_set`` cell (``_e_mask``, on indices) is a few mask operations once
+the frames of its pair are known.  Torsion classes are the sets closed under
+middle terms: ``closure`` closes one seed with the closure module's
+``_close``, and ``torsion_classes`` lists them all with its
+``_closed_sets``, lazy FCbO with an incremental closure loop of its own, on
+the same indices, so a class sorts as a tuple of ints; both call
+``_e_mask``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .arcs import _crossing_ints, arcs_in_window
 from .closure import _close, _closed_sets
-from .errors import NoExtension, ParamsMismatch, ValidationFailure
+from .errors import NoExtension, ParamsMismatch, TooLarge, ValidationFailure
 from .extensions import _connectors_ints
 from .hammocks import _ext_arc_nonzero_ints, _hom_nonzero_ints
+
+MAX_OBJECTS = 1 << 16  # checked before the fundamental domain is built
 
 
 class IntervalObject(NamedTuple):
@@ -104,10 +108,12 @@ def _bits(mask: int) -> Iterator[int]:
 class OrbitCategory:
     """The orbit category at parameters (n, m), with its polygon model.
 
-    Construction enumerates the fundamental domain, the m-diagonals, and the
-    rotation-equivariant bijection between them, and raises
-    :class:`ValidationFailure` if any gate (counts, equivariance,
-    bijectivity) fails.
+    Construction refuses more than ``MAX_OBJECTS`` objects with
+    :class:`TooLarge` before it builds any.  It enumerates the fundamental
+    domain, sorted by the diagonal each object lies on, and the
+    m-diagonals, sorted, so object i lies on ``diagonals[i]``; it raises
+    :class:`ValidationFailure` if that is not a bijection or not
+    rotation-equivariant.
     """
 
     def __init__(self, n: int, m: int):
@@ -115,22 +121,26 @@ class OrbitCategory:
             raise ValidationFailure("need n >= 1")
         if m < 2:
             raise ValidationFailure("need m >= 2 (weight w = 1 - m <= -1)")
+        count = m * n * (n + 1) // 2 - n
+        if count > MAX_OBJECTS:
+            raise TooLarge(f"refusing C_{m}(A_{n}): {count} objects, more than {MAX_OBJECTS}")
         self.n = n
         self.m = m
         self.N = m * (n + 1) - 2
-        self.objects: Tuple[IntervalObject, ...] = tuple(sorted(self._domain()))
+        # object i lies on diagonal i: the objects sorted by their diagonals
+        placed = sorted((self._diagonal_formula(x), x) for x in self._domain())
+        self.objects: Tuple[IntervalObject, ...] = tuple(x for _, x in placed)
         # the m-diagonals are the T_{1-m} arcs on the vertex line
         self.diagonals: Tuple[MDiagonal, ...] = tuple(
             sorted(MDiagonal(a.u, a.t) for a in arcs_in_window(1 - m, 1, self.N))
         )
         self._index: Dict[IntervalObject, int] = {x: i for i, x in enumerate(self.objects)}
-        self._diags: List[MDiagonal] = [self._diagonal_formula(x) for x in self.objects]
-        self._from_diag: Dict[MDiagonal, IntervalObject] = dict(zip(self._diags, self.objects))
+        self._rank: Dict[MDiagonal, int] = {d: i for i, d in enumerate(self.diagonals)}
         # the translate on indices; tau lands in the domain, so every image is an object
         self._tau: List[int] = [self._index[self.tau(x)] for x in self.objects]
         self._rows: Dict[Tuple[int, bool], int] = {}
         self._frame_memo: Dict[int, Tuple[int, int]] = {}
-        self._validate()
+        self._validate([d for d, _ in placed])
 
     # -- construction ---------------------------------------------------------
 
@@ -154,18 +164,17 @@ class OrbitCategory:
         j = self._wrap((x.hi - x.lo + 1) * self.m + base)
         return MDiagonal(min(i, j), max(i, j))
 
-    def _validate(self) -> None:
-        if len(self.objects) != len(self.diagonals):
+    def _validate(self, formula: List[MDiagonal]) -> None:
+        """The gates, given the diagonal ``_diagonal_formula`` puts each object on, in order."""
+        if formula != list(self.diagonals):
             raise ValidationFailure(
-                f"count gate failed at (n={self.n}, m={self.m}): "
-                f"{len(self.objects)} objects vs {len(self.diagonals)} diagonals"
+                f"object-to-diagonal map is not a bijection at (n={self.n}, m={self.m}): "
+                f"{len(formula)} objects, {len(self.diagonals)} diagonals"
             )
-        if set(self._diags) != set(self.diagonals):
-            raise ValidationFailure("object-to-diagonal map is not a bijection")
         for i, x in enumerate(self.objects):
-            if self.rotate(self._diags[i], 1) != self.to_diagonal(self.sigma(x)):
+            if self.rotate(self.diagonals[i], 1) != self.to_diagonal(self.sigma(x)):
                 raise ValidationFailure(f"suspension equivariance fails at {x}")
-            if self.rotate(self._diags[i], -self.m) != self._diags[self._tau[i]]:
+            if self.rotate(self.diagonals[i], -self.m) != self.diagonals[self._tau[i]]:
                 raise ValidationFailure(f"translate equivariance fails at {x}")
 
     # -- normal forms and functors --------------------------------------------
@@ -270,7 +279,7 @@ class OrbitCategory:
         return masks
 
     def _objects_in(self, mask: int) -> Iterator[IntervalObject]:
-        """The objects of a bitmask, in the sorted order of ``self.objects``."""
+        """The objects of a bitmask, in the order of ``self.objects`` (by diagonal)."""
         return (self.objects[j] for j in _bits(mask))
 
     def frames(self, a: IntervalObject) -> Tuple[FrozenSet[IntervalObject], FrozenSet[IntervalObject]]:
@@ -305,11 +314,11 @@ class OrbitCategory:
     # -- polygon layer ----------------------------------------------------------
 
     def to_diagonal(self, x: IntervalObject) -> MDiagonal:
-        return self._diags[self._idx(x)]
+        return self.diagonals[self._idx(x)]
 
     def from_diagonal(self, d: MDiagonal) -> IntervalObject:
         try:
-            return self._from_diag[d]
+            return self.objects[self._rank[d]]
         except KeyError:
             raise ParamsMismatch(f"{d} is not an m-diagonal for (n={self.n}, m={self.m})") from None
 
@@ -385,22 +394,17 @@ class OrbitCategory:
         """All torsion classes, as sorted diagonal tuples in lexicographic order.
 
         Every extension-closed subset qualifies (the category is finite, so
-        approximations exist for free).  Lazy FCbO lists them over diagonal
-        ranks, the indices into the sorted ``self.diagonals``, so a class is
-        sorted as a tuple of ints and the list once, before the ranks become
-        diagonals in place.  The pair rule maps ranks to object indices for
-        ``_e_mask`` and back; past 2^16 classes it raises ``TooLarge``.
-        ``_e_mask`` is called once per unordered pair the enumeration
-        reaches, so the work before ``TooLarge`` follows the sets visited,
-        not the object count.
+        approximations exist for free).  Lazy FCbO lists them over object
+        indices, which are diagonal ranks too, so a class is sorted as a tuple
+        of ints and the list once, before the indices become diagonals in
+        place.  Past 2^16 classes it raises ``TooLarge``.  ``_e_mask`` is
+        called once per unordered pair the enumeration reaches, so the work
+        before ``TooLarge`` follows the sets visited, not the object count.
         """
-        rank = {d: r for r, d in enumerate(self.diagonals)}
-        to_rank = [rank[d] for d in self._diags]
-        to_index = [self._index[self._from_diag[d]] for d in self.diagonals]
-        rule = lambda a, b: [to_rank[j] for j in _bits(self._e_mask(to_index[a], to_index[b]))]
+        rule = lambda i, j: _bits(self._e_mask(i, j))
         classes = sorted(tuple(sorted(cls)) for cls in _closed_sets(len(self.objects), rule))
         diagonals = self.diagonals
         for c, cls in enumerate(classes):
             # from a list, not a generator, so each tuple is allocated at its size
-            classes[c] = tuple([diagonals[r] for r in cls])
+            classes[c] = tuple([diagonals[i] for i in cls])
         return classes

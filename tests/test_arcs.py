@@ -61,6 +61,10 @@ def test_invalid_arc_rejected():
         arc(3, 0, 2)
     with pytest.raises(InvalidArc):
         arc(2, 0, 1)  # too short for the minimum length at weight 2
+    # raw arcs skip the check, and to_coord makes it
+    for raw in (Arc(0, 1, 2), Arc(3, 0, -2)):  # too short; length off the step
+        with pytest.raises(InvalidArc):
+            to_coord(raw)
 
 
 def test_functor_examples():

@@ -1,11 +1,12 @@
 import json
+import time
 
 import pytest
 
 from conftest import cli_leaves
 from sphtor.cli import build_parser, run
 from sphtor.closure import MAX_CLOSED_SETS, MAX_VERDICT_PAIRS
-from sphtor.orbit import OrbitCategory
+from sphtor.orbit import MAX_OBJECTS, OrbitCategory
 
 
 def invoke(capsys, *argv):
@@ -145,6 +146,15 @@ def test_orbit_enumerate_guard_exit_code(capsys):
     assert str(MAX_CLOSED_SETS) in err
 
 
+def test_orbit_category_budget_exit_code(capsys):
+    # 4 000 000 objects: refused before any is built
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "orbit", "list", "--n", "2000", "--m", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert str(MAX_OBJECTS) in err
+
+
 def test_torsion_perp_budget_exit_code(tmp_path, capsys):
     blob = {"w": 2, "arcs": [], "fountains": [{"vertex": 0, "side": "left", "from": -2}]}
     path = tmp_path / "ds.json"
@@ -252,6 +262,35 @@ BAD_INPUTS = {
     "render_mixed_options": (("render", "--n", "3", "--m", "2", "--diagonals", "1,2",
                               "--w", "2", "--arcs", "0,3"), 64),
 }
+
+
+USAGE_PATHS = {
+    "arc_not_a_pair": (("admissible", "--w", "2", "--arc", "5"), 64,
+                       "usage error: expected 'x,y', got '5'", ""),
+    "window_not_an_int": (("torsion", "--in", "ds.json", "--window", "abc"), 64,
+                          "usage error: argument --window: invalid int value: 'abc'", ""),
+    "render_polygon_incomplete": (("render", "--n", "3"), 64,
+                                  "usage error: polygon rendering requires --n, --m and "
+                                  "--diagonals", ""),
+    "render_arcs_incomplete": (("render", "--w", "2"), 64,
+                               "usage error: arc rendering requires --w and --arcs", ""),
+    "t1_upper_without_n": (("t1", "classify", "--pattern", "upper"), 64,
+                           "usage error: upper pattern requires --n", ""),
+    "t1_explicit_without_in": (("t1", "classify", "--pattern", "explicit"), 64,
+                               "usage error: explicit pattern requires --in FILE.json", ""),
+    "t1_empty": (("t1", "classify", "--pattern", "empty"), 0, None, "trivial zero\n"),
+    "t1_all": (("t1", "classify", "--pattern", "all"), 0, None, "trivial all\n"),
+    "t1_negative_r": (("t1", "extensions", "--r", "-1", "--target", "0,0"), 64,
+                      "usage error: tube levels must be nonnegative, got --r -1", ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_PATHS))
+def test_usage_paths(capsys, name):
+    words, expected, first_err, expected_out = USAGE_PATHS[name]
+    code, out, err = invoke(capsys, *words)
+    assert code == expected and out == expected_out
+    assert (err.splitlines() or [None])[0] == first_err
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))

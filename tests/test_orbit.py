@@ -65,6 +65,8 @@ def test_parameter_validation():
         OrbitCategory(0, 2)
     with pytest.raises(ValidationFailure):
         OrbitCategory(3, 1)
+    with pytest.raises(TooLarge):
+        OrbitCategory(257, 2)  # 66 049 objects, past MAX_OBJECTS
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 7) for m in range(2, 5)])
@@ -105,8 +107,10 @@ def test_known_diagonal_sets():
 @pytest.mark.parametrize("n,m", SMALL)
 def test_bijection_equivariance(n, m):
     cat = OrbitCategory(n, m)
-    for x in cat.objects:
+    for i, x in enumerate(cat.objects):
         d = cat.to_diagonal(x)
+        # object i lies on the i-th diagonal
+        assert d == cat.diagonals[i]
         assert cat.from_diagonal(d) == x
         assert cat.to_diagonal(cat.sigma(x)) == cat.rotate(d, 1)
         # translate is the inverse m-th rotation, and the Serre twist is the
