@@ -7,8 +7,12 @@ and member p meets itself and every member before it once.  The arc
 closures feed it the integer pair kernels of :mod:`sphtor.extensions`
 (connector arcs, or the middle summands of both extensions), once the
 weights are checked, and :meth:`sphtor.orbit.OrbitCategory.closure` feeds
-it orbit-category middle terms.  Finite arc sets close without leaving
-their own endpoint set, so the fixpoint is finite and cheap.
+it orbit-category middle terms.  Both arc rules return arcs on the
+endpoints of the pair, so a finite arc closure lies in the admissible arcs
+U on its seed's endpoints: ``_arcs_among`` counts them by residue class,
+the loop stops once it holds all of U, and a closure of more arcs than
+``MAX_VERDICT_PAIRS`` pairs allow raises ``TooLarge``.  The orbit closure
+stops once it holds every object.
 ``_closed_sets`` lists every closed set of a finite universe by lazy FCbO,
 up to ``MAX_CLOSED_SETS``, and closes each child by the same loop on
 bitsets, from its closed parent, firing only the pairs that touch new
@@ -32,7 +36,9 @@ descriptor set, and it raises ``TooLarge``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
+from math import isqrt
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .arcs import Arc, arc, arcs_in_window, is_admissible, translation_step
@@ -42,10 +48,11 @@ from .hammocks import _hom_marks_ints
 
 DEFAULT_WINDOW = 40
 MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 objects
-MAX_VERDICT_PAIRS = 1 << 20  # pair budget of both verdict scans and of symbolic_closure
+MAX_VERDICT_PAIRS = 1 << 20  # pair budget of both verdict scans and of every finite closure
+_MAX_CLOSED_ARCS = (isqrt(8 * MAX_VERDICT_PAIRS + 1) - 1) // 2  # most A with A(A+1)/2 in budget
 
 
-def _close(seed: Iterable, pair_rule: Callable[..., Iterable]) -> FrozenSet:
+def _close(seed: Iterable, pair_rule: Callable[..., Iterable], size: int) -> FrozenSet:
     """Least superset of ``seed`` closed under a symmetric pair rule.
 
     The closure loop for one seed (``_closed_sets`` runs the same loop on
@@ -53,16 +60,24 @@ def _close(seed: Iterable, pair_rule: Callable[..., Iterable]) -> FrozenSet:
     then each new member in the order it is found.  Member p is fed to
     ``pair_rule`` with itself and with every member before it, once, and
     whatever the rule returns is appended, so it meets all members when its
-    own turn comes.
+    own turn comes.  ``size`` is the size of a set U that contains the seed
+    and every rule value on members of U, so the closure lies in U: the loop
+    stops as soon as the members number ``size``.  That exit is exact, since
+    the members are then all of U and no remaining pair can add one, and it
+    keeps the member and discovery order of a full run.
     """
     members = sorted(set(seed))
     seen = set(members)
+    if len(members) >= size:
+        return frozenset(seen)
     for p, x in enumerate(members):  # reaches the members appended on the way
         for y in members[: p + 1]:
             for z in pair_rule(x, y):
                 if z not in seen:
                     seen.add(z)
                     members.append(z)
+                    if len(members) == size:
+                        return frozenset(seen)
     return frozenset(seen)
 
 
@@ -161,20 +176,64 @@ def _weighted(w: int, arcs_in: Iterable[Arc]) -> Set[Arc]:
     return seed
 
 
-def ptolemy_closure(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
-    """Least fixpoint of adding admissible connector arcs over all pairs."""
+def _arcs_among(w: int, points: Iterable[int]) -> int:
+    """The number of admissible arcs with both endpoints in ``points``.
+
+    An arc on x <= y is admissible iff y - x >= |w| and y - x = |w| mod
+    |w-1| (loops included at w = 0), so each x counts the points of residue
+    x + |w| mod |w-1| from x + |w| on, by one bisection.  Pure arithmetic:
+    it calls neither route's kernels.
+    """
+    reach, step = abs(w), abs(w - 1)
+    ordered = sorted(set(points))
+    classes: Dict[int, List[int]] = {}
+    for v in ordered:
+        classes.setdefault(v % step, []).append(v)
+    count = 0
+    for x in ordered:
+        partners = classes.get((x + reach) % step, ())
+        count += len(partners) - bisect_left(partners, x + reach)
+    return count
+
+
+def _close_arcs(w: int, arcs_in: Iterable[Arc], pair_rule: Callable[[Arc, Arc], Iterable[Arc]]):
+    """``_close`` of a finite arc set under a rule that stays on the pair's endpoints.
+
+    The admissible arcs U on the seed's endpoints are then closed under the
+    rule, so the loop stops once it holds all of U.  A closure of A arcs
+    visits at most A(A+1)/2 pairs, and one whose count passes
+    ``MAX_VERDICT_PAIRS`` raises ``TooLarge``: when U is larger than the
+    budget allows, the same exit stops the loop one member past it, so a
+    refusal visits no more pairs than the budget either.
+    """
     seed = _weighted(w, arcs_in)
-    return _close(seed, lambda a, b: _connectors_ints(w, a.t, a.u, b.t, b.u)[1])
+    size = _arcs_among(w, (v for a in seed for v in a.vertices))
+    closed = _close(seed, pair_rule, min(size, _MAX_CLOSED_ARCS + 1))
+    if len(closed) > _MAX_CLOSED_ARCS:
+        raise TooLarge(
+            f"refusing a closure of more than {MAX_VERDICT_PAIRS} pairs: it holds more than "
+            f"{_MAX_CLOSED_ARCS} of the {size} admissible arcs on the seed's endpoints"
+        )
+    return closed
+
+
+def ptolemy_closure(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
+    """Least fixpoint of adding admissible connector arcs over all pairs.
+
+    Raises ``TooLarge`` when the closure has more arcs A than
+    ``MAX_VERDICT_PAIRS`` allows, A(A+1)/2 pairs.
+    """
+    return _close_arcs(w, arcs_in, lambda a, b: _connectors_ints(w, a.t, a.u, b.t, b.u)[1])
 
 
 def extension_closure_oracle(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
     """Least fixpoint of adding extension middle summands over all pairs.
 
     Independent of the connector-arc code path; the two closures agreeing is
-    the arc-level statement of the extension-closure theorems.
+    the arc-level statement of the extension-closure theorems.  Same budget
+    as ``ptolemy_closure``.
     """
-    seed = _weighted(w, arcs_in)
-    return _close(seed, lambda a, b: _both_middles(w, a, b))
+    return _close_arcs(w, arcs_in, lambda a, b: _both_middles(w, a, b))
 
 
 class FountainSide(Enum):
@@ -431,7 +490,8 @@ def symbolic_closure(ds: DescriptorSet) -> DescriptorSet:
     Connectors never leave the seed's endpoints, so with A admissible arcs
     on span ± M(w) (:func:`_arcs_on`), A(A+1)/2 bounds the pairs of both the
     closure and the check.  Past ``MAX_VERDICT_PAIRS`` it raises
-    ``TooLarge`` before instantiating anything.
+    ``TooLarge`` before instantiating anything.  So the budget of
+    ``ptolemy_closure`` never trips here: the closure has at most A arcs.
     """
     lo0, hi0 = ds.span()
     margin = _closedness_margin(ds.w)

@@ -383,7 +383,9 @@ class OrbitCategory:
 
     def closure(self, seed: Iterable[IntervalObject]) -> FrozenSet[IntervalObject]:
         """Least extension-closed object set containing the seed."""
-        members = _close([self._idx(x) for x in seed], lambda i, j: _bits(self._e_mask(i, j)))
+        members = _close(
+            [self._idx(x) for x in seed], lambda i, j: _bits(self._e_mask(i, j)), len(self.objects)
+        )
         return frozenset(self.objects[i] for i in members)
 
     def closure_diagonals(self, seed: Iterable[MDiagonal]) -> FrozenSet[MDiagonal]:

@@ -2,6 +2,7 @@ import argparse
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from sphtor import arcs_in_window
 
@@ -38,3 +39,16 @@ def cli_leaves(parser, path=()):
     for name, sub in subcommands[0].choices.items():
         leaves.update(cli_leaves(sub, path + (name,)))
     return leaves
+
+
+@st.composite
+def symmetric_rules(draw, min_k=0, max_k=10, densities=(0.0, 0.05, 0.15, 0.4)):
+    k = draw(st.integers(min_k, max_k))
+    density = draw(st.sampled_from(densities))
+    table = [[()] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            if draw(st.floats(0, 1)) < density:
+                cell = tuple(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=3)))
+                table[i][j] = table[j][i] = cell
+    return k, table

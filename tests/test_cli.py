@@ -155,6 +155,18 @@ def test_orbit_category_budget_exit_code(capsys):
     assert str(MAX_OBJECTS) in err
 
 
+def test_closure_budget_exit_code(capsys):
+    # at w = 0 the closure is all 3240 admissible arcs on the 80 endpoints:
+    # refused once it holds 1448 (about 15 s to close in full); CPU time, so
+    # that other processes on the host do not count
+    arcs = ";".join(f"{3 * i + 7},{3 * i}" for i in range(40))
+    start = time.process_time()
+    code, out, err = invoke(capsys, "closure", "--w", "0", "--arcs", arcs)
+    assert time.process_time() - start < 1
+    assert code == 2 and out == ""
+    assert "1048576" in err
+
+
 def test_torsion_perp_budget_exit_code(tmp_path, capsys):
     blob = {"w": 2, "arcs": [], "fountains": [{"vertex": 0, "side": "left", "from": -2}]}
     path = tmp_path / "ds.json"

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -27,11 +28,12 @@ from sphtor import (
 )
 
 from sphtor.arcs import QuiverCoord, from_coord, suspend
-from sphtor.closure import MAX_VERDICT_PAIRS, _closedness_margin, _perp_sample
+from sphtor import closure
+from sphtor.closure import MAX_VERDICT_PAIRS, _arcs_among, _close, _closedness_margin, _perp_sample
 from sphtor.extensions import _both_middles, _connectors_ints
 from sphtor.hammocks import _hom_nonzero_ints
 
-from conftest import ALL_WEIGHTS, random_arc_sets
+from conftest import ALL_WEIGHTS, random_arc_sets, symmetric_rules
 
 
 def test_closure_examples():
@@ -76,6 +78,62 @@ def test_closure_is_a_closure_operator(w):
     for small, big in zip(samples, samples[1:]):
         union = set(small) | set(big)
         assert ptolemy_closure(w, small) <= ptolemy_closure(w, union)
+
+
+@given(symmetric_rules(min_k=1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_close_is_the_plain_fixpoint(case, data):
+    k, table = case
+    seed = data.draw(st.sets(st.integers(0, k - 1)))
+    plain = set(seed)
+    while True:  # one round pairs every two members of the last round
+        grown = plain.union(*(table[x][y] for x in plain for y in plain))
+        if grown == plain:
+            break
+        plain = grown
+    assert _close(seed, lambda x, y: table[x][y], k) == plain
+
+
+@pytest.mark.parametrize("w", ALL_WEIGHTS)
+def test_arcs_among_counts_admissible_pairs(w):
+    rng = random.Random(w)
+    for _ in range(300):
+        points = set(rng.sample(range(-15, 16), rng.randint(0, 12)))
+        # x <= y: the loops count at w = 0, where every pair is admissible
+        brute = sum(is_admissible(w, x, y) for x in points for y in points if x <= y)
+        assert _arcs_among(w, points) == brute
+    if w == 0:
+        assert _arcs_among(0, range(7)) == 7 * 8 // 2
+
+
+@pytest.mark.parametrize("rule", ["_connectors_ints", "_both_middles"])
+def test_closure_stops_once_it_fills_the_endpoint_arcs(monkeypatch, rule):
+    calls = []
+    kernel = getattr(closure, rule)
+    monkeypatch.setattr(closure, rule, lambda *args: calls.append(args) or kernel(*args))
+    close = closure.ptolemy_closure if rule == "_connectors_ints" else closure.extension_closure_oracle
+    seed = [arc(0, 3, 1), arc(0, 2, 0)]
+    full = close(0, seed)
+    size = _arcs_among(0, range(4))
+    assert full == frozenset(arcs_in_window(0, 0, 3)) and len(full) == size
+    assert 0 < len(calls) < size * (size + 1) // 2
+
+
+def test_closure_budget_counts_the_closed_arcs():
+    # 40 endpoints: the closure is all 820 admissible arcs on them, 336 610 pairs
+    closed = ptolemy_closure(0, [arc(0, 3 * i + 7, 3 * i) for i in range(20)])
+    assert len(closed) == 820
+    assert _arcs_among(0, (v for a in closed for v in a.vertices)) == 820
+    # 80 endpoints: its 3240 arcs would take 5 250 420 pairs
+    wide = [arc(0, 3 * i + 7, 3 * i) for i in range(40)]
+    for close in (ptolemy_closure, extension_closure_oracle):
+        with pytest.raises(TooLarge, match=str(MAX_VERDICT_PAIRS)):
+            close(0, wide)
+    # a seed past the budget is refused before any pair is visited
+    seed = list(arcs_in_window(0, 0, 53))
+    assert len(seed) == 54 * 55 // 2 > closure._MAX_CLOSED_ARCS
+    with pytest.raises(TooLarge, match=str(MAX_VERDICT_PAIRS)):
+        ptolemy_closure(0, seed)
 
 
 def test_fountain_descriptor_validation():

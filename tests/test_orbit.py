@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import sphtor as s
 from sphtor.closure import MAX_CLOSED_SETS, _close, _closed_sets
@@ -19,6 +18,8 @@ from sphtor import (
     db_translate,
     db_translate_inv,
 )
+
+from conftest import symmetric_rules
 
 SMALL = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (1, 3)]
 # every pair of these is checked against the derived route; (1, 2) and (1, 3)
@@ -301,30 +302,17 @@ def test_torsion_counts_for_one_vertex(m):
 
 def _next_closure(k, pair_rule):
     """Ganter's NextClosure over ``_close``: the reference lectic order."""
-    current = _close((), pair_rule)
+    current = _close((), pair_rule, k)
     while True:
         yield current
         for i in reversed(range(k)):
             if i not in current:
-                successor = _close([j for j in current if j < i] + [i], pair_rule)
+                successor = _close([j for j in current if j < i] + [i], pair_rule, k)
                 if min(successor - current) == i:
                     current = successor
                     break
         else:
             return
-
-
-@st.composite
-def symmetric_rules(draw, min_k=0, max_k=10, densities=(0.0, 0.05, 0.15, 0.4)):
-    k = draw(st.integers(min_k, max_k))
-    density = draw(st.sampled_from(densities))
-    table = [[()] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            if draw(st.floats(0, 1)) < density:
-                cell = tuple(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=3)))
-                table[i][j] = table[j][i] = cell
-    return k, table
 
 
 # big and dense enough that canonicity fails below the root, so the failures
