@@ -14,7 +14,8 @@ the loop stops once it holds all of U, and a closure of more arcs than
 ``MAX_VERDICT_PAIRS`` pairs allow raises ``TooLarge``.  The orbit closure
 stops once it holds every object.
 ``_closed_sets`` lists every closed set of a finite universe by lazy FCbO,
-up to ``MAX_CLOSED_SETS``, and closes each child by the same loop on
+up to ``MAX_CLOSED_SETS``, as a list of bitmasks in lectic order, walked on
+an explicit stack of frames, and closes each child by the same loop on
 bitsets, from its closed parent, firing only the pairs that touch new
 members and stopping at the canonicity test.  A failed test is inherited
 by the descendants, which skip their child at the same index, unclosed,
@@ -81,15 +82,18 @@ def _close(seed: Iterable, pair_rule: Callable[..., Iterable], size: int) -> Fro
     return frozenset(seen)
 
 
-def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> Iterable[FrozenSet[int]]:
-    """Every subset of ``range(k)`` closed under ``pair_rule``, in lectic order.
+def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> List[int]:
+    """Every subset of ``range(k)`` closed under ``pair_rule``, as bitmasks in lectic order.
 
     Lazy FCbO (Outrata & Vychodil 2012) with incremental closure.  The
     children of a closed set A, found by adding i, are the closures of A plus
     i for i above the index that produced A, kept when nothing below i joins
     (the canonicity test).  A child's closure only fires the pairs that touch
     its new members, and stops at the first member below i.  Children are
-    closed one at a time in descending i, depth first, which is lectic order.
+    closed one at a time in descending i, depth first, which is lectic order:
+    an explicit stack holds one frame ``[mask, members, next i, last,
+    failed]`` per closed set on the current path, and a frame resumes at its
+    next i once the child it pushed is done.
     A failed test at i keeps the mask closed so far as ``failed[i]``, and
     the descendants inherit it: they contain A, so their child at i closes
     over that mask too, and they skip it unless they hold every member of it
@@ -98,7 +102,7 @@ def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> Iterable[FrozenS
     pruning.  ``failed`` is a dict copied per frame, so a copy costs the
     failures, not k.  ``pair_rule`` must be symmetric: each cell is asked for
     once, as a bitmask, when the search first needs it.  Raises ``TooLarge``
-    rather than yield more than ``MAX_CLOSED_SETS``.
+    rather than list more than ``MAX_CLOSED_SETS``.
     """
     rows: List[Optional[List[Optional[int]]]] = [None] * k
 
@@ -141,29 +145,27 @@ def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> Iterable[FrozenS
             p += 1
         return mask, members
 
-    def children(mask: int, members: List[int], last: int, failed: Dict[int, int]):
-        for i in range(k - 1, last, -1):
-            if mask >> i & 1 or i in failed and failed[i] & ~mask & ((1 << i) - 1):
-                continue
-            child, child_members = extend(mask, members, i)
-            if child_members is None:
-                failed[i] = child
-            else:
-                yield child, child_members, i, failed.copy()
-
-    yield frozenset()
-    count = 1
-    stack = [children(0, [], -1, {})]
+    out = [0]
+    stack: List[list] = [[0, [], k - 1, -1, {}]]
     while stack:
-        child = next(stack[-1], None)
-        if child is None:
+        frame = stack[-1]
+        mask, members, i, last, failed = frame
+        while i > last:
+            if not mask >> i & 1 and not (i in failed and failed[i] & ~mask & ((1 << i) - 1)):
+                child, child_members = extend(mask, members, i)
+                if child_members is not None:
+                    break
+                failed[i] = child
+            i -= 1
+        else:
             stack.pop()
             continue
-        if count == MAX_CLOSED_SETS:
+        frame[2] = i - 1
+        if len(out) == MAX_CLOSED_SETS:
             raise TooLarge(f"refusing to list more than {MAX_CLOSED_SETS} closed sets")
-        count += 1
-        yield frozenset(child[1])
-        stack.append(children(*child))
+        out.append(child)
+        stack.append([child, child_members, k - 1, i, failed.copy()])
+    return out
 
 
 def _weighted(w: int, arcs_in: Iterable[Arc]) -> Set[Arc]:

@@ -22,9 +22,9 @@ every ``e_set`` cell (``_e_mask``, on indices) is a few mask operations once
 the frames of its pair are known.  Torsion classes are the sets closed under
 middle terms: ``closure`` closes one seed with the closure module's
 ``_close``, and ``torsion_classes`` lists them all with its
-``_closed_sets``, lazy FCbO with an incremental closure loop of its own, on
-the same indices, so a class sorts as a tuple of ints; both call
-``_e_mask``.
+``_closed_sets``, lazy FCbO with an incremental closure loop of its own, as
+bitmasks over the same indices, which byte tables of sorted diagonal tuples
+turn into classes; both call ``_e_mask``.
 """
 
 from __future__ import annotations
@@ -396,17 +396,30 @@ class OrbitCategory:
         """All torsion classes, as sorted diagonal tuples in lexicographic order.
 
         Every extension-closed subset qualifies (the category is finite, so
-        approximations exist for free).  Lazy FCbO lists them over object
-        indices, which are diagonal ranks too, so a class is sorted as a tuple
-        of ints and the list once, before the indices become diagonals in
-        place.  Past 2^16 classes it raises ``TooLarge``.  ``_e_mask`` is
-        called once per unordered pair the enumeration reaches, so the work
-        before ``TooLarge`` follows the sets visited, not the object count.
+        approximations exist for free).  Lazy FCbO lists them as bitmasks
+        over object indices.  Object i lies on ``diagonals[i]``, so byte b of
+        a mask, read in a table of the 256 sorted diagonal tuples of the
+        objects 8b..8b+7, gives that byte's share of the class in order, and
+        a class is the concatenation of its bytes' tuples.  The tables are
+        built once the enumeration has returned, and the list is sorted once.
+        Past 2^16 classes it raises ``TooLarge``.  ``_e_mask`` is called
+        once per unordered pair the enumeration reaches, so the work before
+        ``TooLarge`` follows the sets visited, not the object count.
         """
         rule = lambda i, j: _bits(self._e_mask(i, j))
-        classes = sorted(tuple(sorted(cls)) for cls in _closed_sets(len(self.objects), rule))
-        diagonals = self.diagonals
-        for c, cls in enumerate(classes):
-            # from a list, not a generator, so each tuple is allocated at its size
-            classes[c] = tuple([diagonals[i] for i in cls])
+        masks = _closed_sets(len(self.objects), rule)
+        tables = []
+        for low in range(0, len(self.objects), 8):
+            table: List[Tuple[MDiagonal, ...]] = [()]
+            for d in self.diagonals[low : low + 8]:
+                table += [cls + (d,) for cls in table]
+            tables.append(table)
+        classes = []
+        for mask in masks:
+            cls: Tuple[MDiagonal, ...] = ()
+            for table in tables:
+                cls += table[mask & 255]
+                mask >>= 8
+            classes.append(cls)
+        classes.sort()
         return classes

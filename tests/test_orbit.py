@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 
 import sphtor as s
 from sphtor.closure import MAX_CLOSED_SETS, _close, _closed_sets
+from sphtor.orbit import _bits
 from sphtor import (
     IntervalObject,
     MDiagonal,
@@ -325,7 +327,7 @@ dense_symmetric_rules = symmetric_rules(min_k=6, max_k=12, densities=(0.2, 0.4, 
 def test_closed_sets_follow_next_closure(case):
     k, table = case
     rule = lambda i, j: table[i][j]
-    assert list(_closed_sets(k, rule)) == list(_next_closure(k, rule))
+    assert [frozenset(_bits(m)) for m in _closed_sets(k, rule)] == list(_next_closure(k, rule))
 
 
 @given(dense_symmetric_rules)
@@ -333,15 +335,14 @@ def test_closed_sets_follow_next_closure(case):
 def test_closed_sets_follow_next_closure_when_failures_are_inherited(case):
     k, table = case
     rule = lambda i, j: table[i][j]
-    assert list(_closed_sets(k, rule)) == list(_next_closure(k, rule))
+    assert [frozenset(_bits(m)) for m in _closed_sets(k, rule)] == list(_next_closure(k, rule))
 
 
 def test_closed_sets_refuse_past_the_cap():
     # a rule that adds nothing closes all 2^17 subsets of 17 elements
-    assert len(list(_closed_sets(16, lambda i, j: ()))) == MAX_CLOSED_SETS
+    assert sorted(_closed_sets(16, lambda i, j: ())) == list(range(MAX_CLOSED_SETS))
     with pytest.raises(TooLarge, match=str(MAX_CLOSED_SETS)):
-        for _ in _closed_sets(17, lambda i, j: ()):
-            pass
+        _closed_sets(17, lambda i, j: ())
 
 
 def test_enumeration_guard():
@@ -356,8 +357,11 @@ def test_enumeration_guard_work_follows_sets_visited():
     calls = []
     e_mask = cat._e_mask
     cat._e_mask = lambda i, j: calls.append((i, j)) or e_mask(i, j)
+    # CPU time, so that other processes on the host do not count
+    start = time.process_time()
     with pytest.raises(TooLarge, match=str(MAX_CLOSED_SETS)):
         cat.torsion_classes()
+    assert time.process_time() - start < 2
     assert 0 < len(calls) == len(set(calls)) < len(cat.objects)
 
 
@@ -401,7 +405,11 @@ def test_enumeration_matches_subset_scan(n, m):
 
 
 def _closed_families(cat):
-    """Closed index sets under the extension rule and under the Ptolemy rule."""
+    """Closed index sets under the extension rule and under the Ptolemy rule.
+
+    Each family is a list of bitmasks in lectic order, so equal families are
+    equal lists, and a repeated set would show in the count.
+    """
     objs = cat.objects
     diags = [cat.to_diagonal(x) for x in objs]
     index = {x: i for i, x in enumerate(objs)}
@@ -410,8 +418,8 @@ def _closed_families(cat):
     ptol = [[tuple(by_diag[d] for d in cat.ptolemy(da, db)) for db in diags] for da in diags]
     k = len(objs)
     return (
-        set(_closed_sets(k, lambda i, j: eset[i][j])),
-        set(_closed_sets(k, lambda i, j: ptol[i][j])),
+        _closed_sets(k, lambda i, j: eset[i][j]),
+        _closed_sets(k, lambda i, j: ptol[i][j]),
     )
 
 
@@ -421,6 +429,76 @@ def test_theorem_b_past_subset_scan(n, m):
     extension_closed, ptolemy_closed = _closed_families(OrbitCategory(n, m))
     assert extension_closed == ptolemy_closed
     assert len(extension_closed) == FROZEN_TORSION_COUNTS[(n, m)]
+
+
+def _galois_closure(cat):
+    """X -> ⊥(X^⊥) on index bitmasks, from the Hom rows of ``_row``.
+
+    X^⊥ is the objects no member of X maps to (the out-rows), and ⊥Y the
+    objects that map to no member of Y (the in-rows).
+    """
+    k = len(cat.objects)
+    full = (1 << k) - 1
+    out_rows = [cat._row(i, False) for i in range(k)]
+    in_rows = [cat._row(i, True) for i in range(k)]
+
+    def close(x):
+        reached = 0
+        for i in _bits(x):
+            reached |= out_rows[i]
+        reaching = 0
+        for j in _bits(full & ~reached):
+            reaching |= in_rows[j]
+        return full & ~reaching
+
+    return close
+
+
+def _galois_closed_sets(k, close):
+    """Ganter's NextClosure over ``close`` on bitmasks: every fixed point, in lectic order."""
+    current = close(0)
+    out = []
+    while True:
+        out.append(current)
+        for i in reversed(range(k)):
+            below = (1 << i) - 1
+            if not current >> i & 1:
+                successor = close(current & below | 1 << i)
+                if not successor & ~current & below:
+                    current = successor
+                    break
+        else:
+            return out
+
+
+# the categories of the orbit_enumerate benchmark: at most 16 objects, n = 1 up to m = 12
+ENUMERABLE = [
+    (n, m)
+    for n in range(1, 7)
+    for m in range(2, 18)
+    if m * n * (n + 1) // 2 - n <= 16 and (n > 1 or m <= 12)
+]
+
+
+@pytest.mark.parametrize("n,m", ENUMERABLE)
+def test_galois_closure_lists_torsion_classes(n, m):
+    # a third route: torsion classes of a finite category are the sets X with
+    # X = ⊥(X^⊥), found from Hom alone, with no extension or middle term
+    cat = OrbitCategory(n, m)
+    masks = _galois_closed_sets(len(cat.objects), _galois_closure(cat))
+    listed = sorted(tuple(cat.diagonals[i] for i in _bits(mask)) for mask in masks)
+    assert listed == cat.torsion_classes()
+
+
+@pytest.mark.parametrize("n,m", sorted(FROZEN_TORSION_COUNTS))
+def test_torsion_classes_are_galois_fixed_points(n, m):
+    cat = OrbitCategory(n, m)
+    close = _galois_closure(cat)
+    for cls in cat.torsion_classes():
+        mask = 0
+        for d in cls:
+            mask |= 1 << cat._rank[d]
+        assert close(mask) == mask, cls
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
