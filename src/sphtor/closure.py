@@ -1,28 +1,27 @@
 """Extension closure, fountains, and torsion-class verdicts.
 
-This module has two closure loops, with one member order.  ``_close`` is
-the least set closed under a symmetric pair rule, for one seed: its members
-are a list, the sorted seed and then each member in the order it is found,
-and member p meets itself and every member before it once.  The arc
-closures feed it the integer pair kernels of :mod:`sphtor.extensions`
+Every finite closure runs one pair loop, ``_grow``, on bitsets over
+``range(k)``: it keeps a member list and its mask, and member p ORs in a
+row, the mask of the rule on it and every member up to it, so each
+unordered pair is visited once, and the new bits join the list in ascending
+order.  It stops once the members number k.  Each route supplies its rows.
+``_close`` closes one seed under a symmetric mask-valued rule, such as
+:meth:`sphtor.orbit.OrbitCategory._e_mask` for orbit closures, and
+``_closed_sets`` lists every closed set of ``range(k)`` by lazy FCbO, up to
+``MAX_CLOSED_SETS``: it closes each child from its closed parent and leaves
+the loop at the canonicity test.  Both read the rule through ``_rows``,
+which asks each cell once: FCbO visits a pair again in every set that holds
+it, and asking the rule per pair visited took ``torsion_classes`` at (4, 3)
+from 0.23-0.28 s to 0.65-0.74 s (2-CPU host).  The arc closures supply a
+row of their own, with no cache, since one closure visits each pair once.
+They feed it the integer pair kernels of :mod:`sphtor.extensions`
 (connector arcs, or the middle summands of both extensions), once the
-weights are checked, and :meth:`sphtor.orbit.OrbitCategory.closure` feeds
-it orbit-category middle terms.  Both arc rules return arcs on the
-endpoints of the pair, so a finite arc closure lies in the admissible arcs
-U on its seed's endpoints: ``_arcs_among`` counts them by residue class,
-the loop stops once it holds all of U, and a closure of more arcs than
-``MAX_VERDICT_PAIRS`` pairs allow raises ``TooLarge``.  The orbit closure
-stops once it holds every object.
-``_closed_sets`` lists every closed set of a finite universe by lazy FCbO,
-up to ``MAX_CLOSED_SETS``, as a list of bitmasks in lectic order, walked on
-an explicit stack of frames, and closes each child by the same loop on
-bitsets, from its closed parent, firing only the pairs that touch new
-members and stopping at the canonicity test.  A failed test is inherited
-by the descendants, which skip their child at the same index, unclosed,
-when it must fail too.  It keeps each cell of the pair rule for the whole
-enumeration, which ``_close`` has no use for: asking the rule once per pair
-visited instead took ``torsion_classes`` at (4, 3) from 0.23-0.28 s to
-0.65-0.74 s (three alternated runs of three, 2-CPU host).
+weights are checked, and intern arcs as ints in discovery order, so bit p
+is the p-th arc found.  Both arc rules return arcs on the endpoints of the
+pair, so a finite arc closure lies in the admissible arcs U on its seed's
+endpoints: ``_arcs_among`` counts them by residue class, the loop stops
+once it holds all of U, and a closure of more arcs than
+``MAX_VERDICT_PAIRS`` pairs allow raises ``TooLarge``.
 Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
 plus partial-fountain generators).  ``is_torsion_class`` decides them
 exactly by a pair check on a bounded instantiation, and reports the perp
@@ -38,6 +37,7 @@ descriptor set, and it raises ``TooLarge``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from enum import Enum
 from math import isqrt
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
@@ -52,46 +52,74 @@ MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 ob
 MAX_VERDICT_PAIRS = 1 << 20  # pair budget of both verdict scans and of every finite closure
 _MAX_CLOSED_ARCS = (isqrt(8 * MAX_VERDICT_PAIRS + 1) - 1) // 2  # most A with A(A+1)/2 in budget
 
+_Row = Callable[[List[int], int], int]  # row(members, p): the rule on member p and members[: p + 1]
 
-def _close(seed: Iterable, pair_rule: Callable[..., Iterable], size: int) -> FrozenSet:
-    """Least superset of ``seed`` closed under a symmetric pair rule.
 
-    The closure loop for one seed (``_closed_sets`` runs the same loop on
-    bitsets, from a closed parent).  The members are a list: the sorted seed,
-    then each new member in the order it is found.  Member p is fed to
-    ``pair_rule`` with itself and with every member before it, once, and
-    whatever the rule returns is appended, so it meets all members when its
-    own turn comes.  ``size`` is the size of a set U that contains the seed
-    and every rule value on members of U, so the closure lies in U: the loop
-    stops as soon as the members number ``size``.  That exit is exact, since
-    the members are then all of U and no remaining pair can add one, and it
-    keeps the member and discovery order of a full run.
+def _grow(members: List[int], mask: int, row: _Row, k: int, p: int = 0, below: int = 0) -> int:
+    """Close ``members`` in place from position ``p``, and return the closed mask.
+
+    The one pair loop of every finite closure.  ``members`` is a list of
+    indices in ``range(k)`` whose bits make ``mask``, and the members before
+    ``p`` are closed among themselves.  Member p ORs in ``row(members, p)``,
+    the mask of the rule on it and every member up to it (bits already in
+    ``mask`` may be left out), and the new bits join the list in ascending
+    order, so they meet every member when their own turn comes.  The loop
+    stops once the members number k: they are then all of ``range(k)``.
+    With ``below``, it returns at the first new bit of ``below``, and that
+    mask is not closed (the canonicity exit of ``_closed_sets``).
+    """
+    while p < len(members) < k:
+        new = row(members, p) & ~mask
+        if new:
+            mask |= new
+            if new & below:
+                return mask
+            while new:
+                low = new & -new
+                members.append(low.bit_length() - 1)
+                new ^= low
+        p += 1
+    return mask
+
+
+def _rows(k: int, rule: Callable[[int, int], int]) -> _Row:
+    """The row function of a symmetric mask-valued rule on ``range(k)``, asking each cell once."""
+    cells = defaultdict(lambda: [None] * k)  # row x of the cells, built when first read
+
+    def row(members: List[int], p: int) -> int:
+        x = members[p]
+        own, acc = cells[x], 0
+        for y in members[: p + 1]:
+            cell = own[y]
+            if cell is None:
+                cell = own[y] = cells[y][x] = rule(x, y)
+            acc |= cell
+        return acc
+
+    return row
+
+
+def _close(seed: Iterable[int], rule: Callable[[int, int], int], k: int) -> List[int]:
+    """Least superset of ``seed`` in ``range(k)`` closed under a symmetric mask-valued rule.
+
+    Returns the members in the loop's order: the sorted seed, then each
+    row's new members in ascending index.
     """
     members = sorted(set(seed))
-    seen = set(members)
-    if len(members) >= size:
-        return frozenset(seen)
-    for p, x in enumerate(members):  # reaches the members appended on the way
-        for y in members[: p + 1]:
-            for z in pair_rule(x, y):
-                if z not in seen:
-                    seen.add(z)
-                    members.append(z)
-                    if len(members) == size:
-                        return frozenset(seen)
-    return frozenset(seen)
+    _grow(members, sum(1 << x for x in members), _rows(k, rule), k)
+    return members
 
 
-def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> List[int]:
-    """Every subset of ``range(k)`` closed under ``pair_rule``, as bitmasks in lectic order.
+def _closed_sets(k: int, rule: Callable[[int, int], int]) -> List[int]:
+    """Every subset of ``range(k)`` closed under ``rule``, as bitmasks in lectic order.
 
-    Lazy FCbO (Outrata & Vychodil 2012) with incremental closure.  The
-    children of a closed set A, found by adding i, are the closures of A plus
-    i for i above the index that produced A, kept when nothing below i joins
-    (the canonicity test).  A child's closure only fires the pairs that touch
-    its new members, and stops at the first member below i.  Children are
-    closed one at a time in descending i, depth first, which is lectic order:
-    an explicit stack holds one frame ``[mask, members, next i, last,
+    Lazy FCbO (Outrata & Vychodil 2012).  The children of a closed set A,
+    found by adding i, are the closures of A plus i for i above the index
+    that produced A, kept when nothing below i joins (the canonicity test).
+    ``_grow`` closes a child from A's member list, so only the rows of its
+    new members are read, and stops at the first member below i.  Children
+    are closed one at a time in descending i, depth first, which is lectic
+    order: an explicit stack holds one frame ``[mask, members, next i, last,
     failed]`` per closed set on the current path, and a frame resumes at its
     next i once the child it pushed is done.
     A failed test at i keeps the mask closed so far as ``failed[i]``, and
@@ -100,60 +128,22 @@ def _closed_sets(k: int, pair_rule: Callable[..., Iterable]) -> List[int]:
     below i.  Every sibling above i is tried before the child at i descends,
     which only tries indices above i, so laziness loses none of FCbO's
     pruning.  ``failed`` is a dict copied per frame, so a copy costs the
-    failures, not k.  ``pair_rule`` must be symmetric: each cell is asked for
-    once, as a bitmask, when the search first needs it.  Raises ``TooLarge``
-    rather than list more than ``MAX_CLOSED_SETS``.
+    failures, not k.  ``rule`` must be symmetric and mask-valued; one row
+    function serves the whole enumeration, so each cell is asked for once.
+    Raises ``TooLarge`` rather than list more than ``MAX_CLOSED_SETS``.
     """
-    rows: List[Optional[List[Optional[int]]]] = [None] * k
-
-    def row(x: int) -> List[Optional[int]]:
-        cells = rows[x]
-        if cells is None:
-            cells = rows[x] = [None] * k
-        return cells
-
-    def extend(mask: int, members: List[int], i: int) -> Tuple[int, Optional[List[int]]]:
-        """Closure of the closed set ``members`` plus i as (mask, members).
-
-        Not canonical: (the mask so far, None).
-        """
-        below = (1 << i) - 1
-        mask |= 1 << i
-        members = members + [i]
-        p = len(members) - 1
-        while p < len(members):
-            x = members[p]
-            cells = row(x)
-            acc = 0
-            for y in members[: p + 1]:
-                cell = cells[y]
-                if cell is None:
-                    cell = 0
-                    for z in pair_rule(x, y):
-                        cell |= 1 << z
-                    cells[y] = row(y)[x] = cell
-                acc |= cell
-            new = acc & ~mask
-            if new:
-                mask |= new
-                if new & below:
-                    return mask, None
-                while new:
-                    low = new & -new
-                    members.append(low.bit_length() - 1)
-                    new ^= low
-            p += 1
-        return mask, members
-
+    row = _rows(k, rule)
     out = [0]
     stack: List[list] = [[0, [], k - 1, -1, {}]]
     while stack:
         frame = stack[-1]
         mask, members, i, last, failed = frame
         while i > last:
-            if not mask >> i & 1 and not (i in failed and failed[i] & ~mask & ((1 << i) - 1)):
-                child, child_members = extend(mask, members, i)
-                if child_members is not None:
+            bit = 1 << i
+            if not mask & bit and not (i in failed and failed[i] & ~mask & (bit - 1)):
+                child_members = members + [i]
+                child = _grow(child_members, mask | bit, row, k, len(members), bit - 1)
+                if not child & ~mask & (bit - 1):
                     break
                 failed[i] = child
             i -= 1
@@ -199,24 +189,42 @@ def _arcs_among(w: int, points: Iterable[int]) -> int:
 
 
 def _close_arcs(w: int, arcs_in: Iterable[Arc], pair_rule: Callable[[Arc, Arc], Iterable[Arc]]):
-    """``_close`` of a finite arc set under a rule that stays on the pair's endpoints.
+    """The closure of a finite arc set under a rule that stays on the pair's endpoints.
 
-    The admissible arcs U on the seed's endpoints are then closed under the
-    rule, so the loop stops once it holds all of U.  A closure of A arcs
-    visits at most A(A+1)/2 pairs, and one whose count passes
-    ``MAX_VERDICT_PAIRS`` raises ``TooLarge``: when U is larger than the
-    budget allows, the same exit stops the loop one member past it, so a
-    refusal visits no more pairs than the budget either.
+    Arcs are interned as ints in discovery order: the sorted seed, then each
+    new arc as the rule returns it, so arc p is member p of ``_grow`` and the
+    list returned is the members in the loop's order.  The admissible arcs U
+    on the seed's endpoints are closed under the rule, so the loop stops once
+    it holds all of U; the row stops at that arc too, so the rule is asked
+    no further.  A closure of A arcs visits at most A(A+1)/2 pairs, and one
+    whose count passes ``MAX_VERDICT_PAIRS`` raises ``TooLarge``: when U is
+    larger than the budget allows, the same exit stops the loop at the arc
+    that passes it, so a refusal visits no more pairs than the budget either.
     """
     seed = _weighted(w, arcs_in)
     size = _arcs_among(w, (v for a in seed for v in a.vertices))
-    closed = _close(seed, pair_rule, min(size, _MAX_CLOSED_ARCS + 1))
-    if len(closed) > _MAX_CLOSED_ARCS:
+    k = min(size, _MAX_CLOSED_ARCS + 1)
+    arcs = sorted(seed)
+    seen = set(seed)
+
+    def row(members: List[int], p: int) -> int:
+        x, start = arcs[p], len(arcs)
+        for y in arcs[: p + 1]:
+            for z in pair_rule(x, y):
+                if z not in seen:
+                    seen.add(z)
+                    arcs.append(z)
+                    if len(arcs) == k:  # U is full, or the budget is passed
+                        return (1 << k) - (1 << start)
+        return (1 << len(arcs)) - (1 << start)  # the arcs this row interned
+
+    _grow(list(range(len(arcs))), (1 << len(arcs)) - 1, row, k)
+    if len(arcs) > _MAX_CLOSED_ARCS:
         raise TooLarge(
             f"refusing a closure of more than {MAX_VERDICT_PAIRS} pairs: it holds more than "
             f"{_MAX_CLOSED_ARCS} of the {size} admissible arcs on the seed's endpoints"
         )
-    return closed
+    return arcs
 
 
 def ptolemy_closure(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
@@ -225,7 +233,8 @@ def ptolemy_closure(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
     Raises ``TooLarge`` when the closure has more arcs A than
     ``MAX_VERDICT_PAIRS`` allows, A(A+1)/2 pairs.
     """
-    return _close_arcs(w, arcs_in, lambda a, b: _connectors_ints(w, a.t, a.u, b.t, b.u)[1])
+    rule = lambda a, b: _connectors_ints(w, a.t, a.u, b.t, b.u)[1]
+    return frozenset(_close_arcs(w, arcs_in, rule))
 
 
 def extension_closure_oracle(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
@@ -235,7 +244,7 @@ def extension_closure_oracle(w: int, arcs_in: Iterable[Arc]) -> FrozenSet[Arc]:
     the arc-level statement of the extension-closure theorems.  Same budget
     as ``ptolemy_closure``.
     """
-    return _close_arcs(w, arcs_in, lambda a, b: _both_middles(w, a, b))
+    return frozenset(_close_arcs(w, arcs_in, lambda a, b: _both_middles(w, a, b)))
 
 
 class FountainSide(Enum):

@@ -20,11 +20,11 @@ row, ``ext_dim`` the bit of the translate, an index list built at
 construction, and the starting and ending frames are masks of rows.  So
 every ``e_set`` cell (``_e_mask``, on indices) is a few mask operations once
 the frames of its pair are known.  Torsion classes are the sets closed under
-middle terms: ``closure`` closes one seed with the closure module's
-``_close``, and ``torsion_classes`` lists them all with its
-``_closed_sets``, lazy FCbO with an incremental closure loop of its own, as
-bitmasks over the same indices, which byte tables of sorted diagonal tuples
-turn into classes; both call ``_e_mask``.
+middle terms, and ``_e_mask`` is itself the mask-valued pair rule of the
+closure module's one loop: ``closure`` closes one seed with ``_close``, and
+``torsion_classes`` lists every closed set with ``_closed_sets`` (lazy FCbO)
+as bitmasks over the same indices, which byte tables of sorted diagonal
+tuples turn into classes.
 """
 
 from __future__ import annotations
@@ -383,9 +383,7 @@ class OrbitCategory:
 
     def closure(self, seed: Iterable[IntervalObject]) -> FrozenSet[IntervalObject]:
         """Least extension-closed object set containing the seed."""
-        members = _close(
-            [self._idx(x) for x in seed], lambda i, j: _bits(self._e_mask(i, j)), len(self.objects)
-        )
+        members = _close([self._idx(x) for x in seed], self._e_mask, len(self.objects))
         return frozenset(self.objects[i] for i in members)
 
     def closure_diagonals(self, seed: Iterable[MDiagonal]) -> FrozenSet[MDiagonal]:
@@ -406,8 +404,7 @@ class OrbitCategory:
         once per unordered pair the enumeration reaches, so the work before
         ``TooLarge`` follows the sets visited, not the object count.
         """
-        rule = lambda i, j: _bits(self._e_mask(i, j))
-        masks = _closed_sets(len(self.objects), rule)
+        masks = _closed_sets(len(self.objects), self._e_mask)
         tables = []
         for low in range(0, len(self.objects), 8):
             table: List[Tuple[MDiagonal, ...]] = [()]

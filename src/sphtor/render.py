@@ -10,9 +10,11 @@ import math
 from typing import List, Sequence, Tuple
 
 from .arcs import Arc
+from .errors import TooLarge
 from .orbit import MDiagonal
 
 PITCH = 36
+MAX_TICKS = 1 << 12  # vertices of the number line of an arc diagram
 MARGIN = 30
 BASE_STYLE = 'fill="none" stroke="black" stroke-width="1.5"'
 DASHED_STYLE = 'fill="none" stroke="black" stroke-width="1.2" stroke-dasharray="6,4"'
@@ -38,13 +40,19 @@ def _arc_path(x1: float, x2: float, y: float) -> str:
 def svg_arc_diagram(
     w: int, arcs: Sequence[Arc], dashed: Sequence[Arc] = ()
 ) -> str:
-    """Arcs drawn as semicircles over an integer number line; loops as lobes."""
+    """Arcs drawn as semicircles over an integer number line; loops as lobes.
+
+    The line has one tick per vertex, from one left of the arcs to one right
+    of them; past ``MAX_TICKS`` vertices it raises ``TooLarge``.
+    """
     every = list(arcs) + list(dashed)
     if not every:
         return _svg(2 * MARGIN, 2 * MARGIN, ["  <!-- empty diagram -->"])
     lo = min(min(a.vertices) for a in every) - 1
     hi = max(max(a.vertices) for a in every) + 1
     span = hi - lo
+    if span + 1 > MAX_TICKS:  # one tick per vertex on [lo, hi]
+        raise TooLarge(f"refusing a number line of {span + 1} vertices, more than {MAX_TICKS}")
     max_half = max(max(a.length for a in every), 1) * PITCH / 2
     height = max_half + 2 * MARGIN + 16
     width = span * PITCH + 2 * MARGIN

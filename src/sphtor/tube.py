@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import NoExtension, _json_int
+from .errors import NoExtension, TooLarge, _json_int
+
+MAX_FAMILIES = 1 << 12  # t1_extensions lists min(r, target.level) + 1 families
 
 
 class TubeObject(NamedTuple):
@@ -41,13 +43,18 @@ def t1_extensions(r: int, target: TubeObject) -> List[Tuple[TubeObject, ...]]:
     ``target`` is read relative to the base tube: shift 0 means same tube
     (abelian extensions, both summands unshifted), shift 1 the suspended one
     (cone of a map down into level r; one summand suspended).  Zero summands
-    are dropped from the emitted multisets.
+    are dropped from the emitted multisets.  There is one family per
+    extension class, min(r, target.level) + 1 of them; past ``MAX_FAMILIES``
+    it raises ``TooLarge`` before listing any.
     """
     if r < 0 or target.level < 0:
         raise ValueError("tube levels must be nonnegative")
     s = target.level
-    if t1_ext_dim(TubeObject(target.shift, s), TubeObject(0, r)) == 0:
+    dim = t1_ext_dim(TubeObject(target.shift, s), TubeObject(0, r))
+    if dim == 0:
         raise NoExtension(f"Ext^1({target}, level {r}) = 0")
+    if dim > MAX_FAMILIES:  # one family per extension class
+        raise TooLarge(f"refusing {dim} extension families, more than {MAX_FAMILIES}")
     out: List[Tuple[TubeObject, ...]] = []
     if target.shift == 0:
         n, m = min(r, s), max(r, s)
@@ -101,8 +108,11 @@ class T1Descriptor(NamedTuple):
         if pattern == "upper":
             return cls("upper", n=_json_int(data["n"], "n"))
         if pattern == "explicit":
+            given = data.get("tubes", {})
+            if not isinstance(given, dict):
+                raise ValueError(f"tubes must be an object mapping shifts to levels, got {given!r}")
             tubes: Dict[int, TubeContent] = {}
-            for shift, content in data.get("tubes", {}).items():
+            for shift, content in given.items():
                 tubes[int(shift)] = (
                     "all"
                     if content == "all"

@@ -43,12 +43,31 @@ def cli_leaves(parser, path=()):
 
 @st.composite
 def symmetric_rules(draw, min_k=0, max_k=10, densities=(0.0, 0.05, 0.15, 0.4)):
+    """(k, table): a symmetric pair rule on range(k) as a table of bitmasks."""
     k = draw(st.integers(min_k, max_k))
     density = draw(st.sampled_from(densities))
-    table = [[()] * k for _ in range(k)]
+    table = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
             if draw(st.floats(0, 1)) < density:
-                cell = tuple(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=3)))
-                table[i][j] = table[j][i] = cell
+                cell = draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=3))
+                table[i][j] = table[j][i] = sum(1 << z for z in cell)
     return k, table
+
+
+def plain_fixpoint(seed, table):
+    """Least superset of the bitmask ``seed`` closed under a bitmask table, by rounds.
+
+    Each round pairs every two members of the last round, so it shares no
+    member order and no stopping rule with the library's closure loop.
+    """
+    closed = seed
+    while True:
+        members = [x for x in range(len(table)) if closed >> x & 1]
+        grown = closed
+        for x in members:
+            for y in members:
+                grown |= table[x][y]
+        if grown == closed:
+            return closed
+        closed = grown

@@ -7,6 +7,8 @@ from conftest import cli_leaves
 from sphtor.cli import build_parser, run
 from sphtor.closure import MAX_CLOSED_SETS, MAX_VERDICT_PAIRS
 from sphtor.orbit import MAX_OBJECTS, OrbitCategory
+from sphtor.render import MAX_TICKS
+from sphtor.tube import MAX_FAMILIES
 
 
 def invoke(capsys, *argv):
@@ -269,6 +271,10 @@ BAD_INPUTS = {
     "t1_float_n": (("t1", "classify", "--pattern", "upper", "--in", "{tmp}/t1_float_n.json"), 64),
     "t1_float_level": (("t1", "classify", "--pattern", "explicit", "--in",
                         "{tmp}/t1_float_level.json"), 64),
+    "t1_tubes_list": (("t1", "classify", "--pattern", "explicit", "--in",
+                       "{tmp}/t1_tubes_list.json"), 64),
+    "t1_tubes_null": (("t1", "classify", "--pattern", "explicit", "--in",
+                       "{tmp}/t1_tubes_null.json"), 64),
     "t1_negative_level": (("t1", "hom", "--a", "0,-1", "--b", "0,0"), 64),
     "render_non_diagonal": (("render", "--n", "3", "--m", "2", "--diagonals", "1,3"), 2),
     "render_mixed_options": (("render", "--n", "3", "--m", "2", "--diagonals", "1,2",
@@ -316,6 +322,8 @@ def test_bad_input_exit_code(tmp_path, capsys, name):
         "float_fountain": {"w": 2, "fountains": [{"vertex": 0, "side": "right", "from": 2.0}]},
         "t1_float_n": {"w": 1, "pattern": "upper", "n": 2.5},
         "t1_float_level": {"w": 1, "pattern": "explicit", "tubes": {"0": [1.5]}},
+        "t1_tubes_list": {"w": 1, "pattern": "explicit", "tubes": [1, 2]},
+        "t1_tubes_null": {"w": 1, "pattern": "explicit", "tubes": None},
     }
     for stem, doc in documents.items():
         (tmp_path / f"{stem}.json").write_text(json.dumps(doc))
@@ -323,6 +331,24 @@ def test_bad_input_exit_code(tmp_path, capsys, name):
     code, out, err = invoke(capsys, *(w.replace("{tmp}", str(tmp_path)) for w in words))
     assert code == expected and out == ""
     assert err.strip()
+
+
+RUNAWAY = {
+    "render_far_arcs": (("render", "--w", "2", "--arcs", "0,3;1000000000,1000000003"), MAX_TICKS),
+    "t1_high_levels": (("t1", "extensions", "--r", "1000000000", "--target", "0,1000000000"),
+                       MAX_FAMILIES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNAWAY))
+def test_runaway_inputs_are_refused_at_once(capsys, name):
+    # both costs grow with the magnitude of the input, not its length
+    words, limit = RUNAWAY[name]
+    start = time.process_time()
+    code, out, err = invoke(capsys, *words)
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: refusing") and str(limit) in err
 
 
 def test_render_non_diagonal_matches_orbit_hom(capsys):

@@ -33,7 +33,7 @@ from sphtor.closure import MAX_VERDICT_PAIRS, _arcs_among, _close, _closedness_m
 from sphtor.extensions import _both_middles, _connectors_ints
 from sphtor.hammocks import _hom_nonzero_ints
 
-from conftest import ALL_WEIGHTS, random_arc_sets, symmetric_rules
+from conftest import ALL_WEIGHTS, plain_fixpoint, random_arc_sets, symmetric_rules
 
 
 def test_closure_examples():
@@ -85,13 +85,34 @@ def test_closure_is_a_closure_operator(w):
 def test_close_is_the_plain_fixpoint(case, data):
     k, table = case
     seed = data.draw(st.sets(st.integers(0, k - 1)))
-    plain = set(seed)
-    while True:  # one round pairs every two members of the last round
-        grown = plain.union(*(table[x][y] for x in plain for y in plain))
-        if grown == plain:
-            break
-        plain = grown
-    assert _close(seed, lambda x, y: table[x][y], k) == plain
+    members = _close(seed, lambda x, y: table[x][y], k)
+    assert len(members) == len(set(members))
+    assert sum(1 << x for x in members) == plain_fixpoint(sum(1 << x for x in seed), table)
+
+
+def test_close_member_order():
+    # the sorted seed, then each row's new members in ascending index:
+    # row 0 (3 with 3) adds 4 and 1, row 1 (5 with 3, 5) adds 2 and 0,
+    # row 2 (1 with 3, 5, 1) adds nothing new, row 3 (4 with ...) adds 6
+    cells = {(3, 3): 0b10010, (5, 3): 0b00100, (5, 5): 0b00001, (1, 5): 0b00100, (4, 1): 0b1000000}
+    rule = lambda x, y: cells.get((x, y), 0) | cells.get((y, x), 0)
+    assert _close([5, 3], rule, 7) == [3, 5, 1, 4, 0, 2, 6]
+
+
+def test_arc_closure_member_order():
+    # arc p is member p: the sorted seed, then each arc as the rule returns it
+    seed = [arc(2, 1, 4), arc(2, 0, 3)]
+    returned = []
+
+    def rule(a, b):
+        out = _connectors_ints(2, a.t, a.u, b.t, b.u)[1]
+        returned.extend(out)
+        return out
+
+    members = closure._close_arcs(2, seed, rule)
+    assert members[:2] == sorted(seed)
+    assert members[2:] == list(dict.fromkeys(x for x in returned if x not in seed))
+    assert members == [arc(2, 0, 3), arc(2, 1, 4), arc(2, 1, 3), arc(2, 0, 4)]
 
 
 @pytest.mark.parametrize("w", ALL_WEIGHTS)

@@ -1,6 +1,8 @@
-from sphtor import arc
+import pytest
+
+from sphtor import TooLarge, arc
 from sphtor.orbit import MDiagonal, OrbitCategory
-from sphtor.render import svg_arc_diagram, svg_polygon_diagram
+from sphtor.render import MAX_TICKS, svg_arc_diagram, svg_polygon_diagram
 
 
 def test_empty_input_renders_valid_canvas():
@@ -39,3 +41,12 @@ def test_deterministic_output():
     assert svg_arc_diagram(-2, arcs) == svg_arc_diagram(-2, list(reversed(arcs)))
     diag = [MDiagonal(1, 2), MDiagonal(3, 6)]
     assert svg_polygon_diagram(3, 2, diag) == svg_polygon_diagram(3, 2, diag[::-1])
+
+
+def test_arc_diagram_refuses_past_its_tick_budget():
+    # the number line runs one vertex beyond the arcs on each side
+    last = MAX_TICKS - 3
+    svg = svg_arc_diagram(0, [arc(0, 0, 0), arc(0, last, last)])
+    assert svg.count("<text") == MAX_TICKS
+    with pytest.raises(TooLarge, match=str(MAX_TICKS)):
+        svg_arc_diagram(0, [arc(0, 0, 0)], dashed=[arc(0, last + 1, last + 1)])

@@ -6,12 +6,14 @@ import pytest
 from sphtor import (
     NoExtension,
     T1Descriptor,
+    TooLarge,
     TubeObject,
     t1_classify,
     t1_ext_dim,
     t1_extensions,
     t1_hom_dim,
 )
+from sphtor.tube import MAX_FAMILIES
 
 
 def test_hom_examples():
@@ -109,3 +111,17 @@ def test_descriptor_json_round_trip():
         again = T1Descriptor.from_json_dict(json.loads(blob))
         assert t1_classify(again) == t1_classify(desc)
         assert again.pattern == desc.pattern
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_extension_families_refuse_past_their_budget(shift):
+    level = MAX_FAMILIES - 1  # min(r, s) + 1 families
+    assert len(t1_extensions(level, TubeObject(shift, level + 5))) == MAX_FAMILIES
+    with pytest.raises(TooLarge, match=str(MAX_FAMILIES)):
+        t1_extensions(level + 1, TubeObject(shift, level + 1))
+
+
+@pytest.mark.parametrize("tubes", [[1, 2], None, "all"])
+def test_descriptor_rejects_non_object_tubes(tubes):
+    with pytest.raises(ValueError, match="tubes"):
+        T1Descriptor.from_json_dict({"w": 1, "pattern": "explicit", "tubes": tubes})
