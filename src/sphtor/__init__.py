@@ -75,7 +75,6 @@ from .orbit import (
     MDiagonal,
     OrbitCategory,
     db_hom_dim,
-    db_serre,
     db_suspend,
     db_translate,
     db_translate_inv,

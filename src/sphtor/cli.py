@@ -35,7 +35,7 @@ from . import (
 )
 from .closure import DEFAULT_WINDOW
 from .orbit import MDiagonal, OrbitCategory
-from .render import svg_arc_diagram, svg_polygon_diagram
+from .render import _polygon_vertices, svg_arc_diagram, svg_polygon_diagram
 from .tube import TubeObject
 
 USAGE_EXIT = 64
@@ -305,6 +305,7 @@ def _render(args):
         if None in polygon:
             raise UsageError("polygon rendering requires --n, --m and --diagonals")
         diagonals = _diag_list(args.diagonals)
+        _polygon_vertices(args.n, args.m)  # TooLarge before the category is built
         cat = OrbitCategory(args.n, args.m)
         for d in diagonals:
             cat.from_diagonal(d)  # ParamsMismatch unless d is an m-diagonal

@@ -2,26 +2,23 @@
 
 Every finite closure runs one pair loop, ``_grow``, on bitsets over
 ``range(k)``: it keeps a member list and its mask, and member p ORs in a
-row, the mask of the rule on it and every member up to it, so each
-unordered pair is visited once, and the new bits join the list in ascending
-order.  It stops once the members number k.  Each route supplies its rows.
-``_close`` closes one seed under a symmetric mask-valued rule, such as
-:meth:`sphtor.orbit.OrbitCategory._e_mask` for orbit closures, and
-``_closed_sets`` lists every closed set of ``range(k)`` by lazy FCbO, up to
-``MAX_CLOSED_SETS``: it closes each child from its closed parent and leaves
-the loop at the canonicity test.  Both read the rule through ``_rows``,
-which asks each cell once: FCbO visits a pair again in every set that holds
-it, and asking the rule per pair visited took ``torsion_classes`` at (4, 3)
-from 0.23-0.28 s to 0.65-0.74 s (2-CPU host).  The arc closures supply a
-row of their own, with no cache, since one closure visits each pair once.
-They feed it the integer pair kernels of :mod:`sphtor.extensions`
-(connector arcs, or the middle summands of both extensions), once the
-weights are checked, and intern arcs as ints in discovery order, so bit p
-is the p-th arc found.  Both arc rules return arcs on the endpoints of the
-pair, so a finite arc closure lies in the admissible arcs U on its seed's
-endpoints: ``_arcs_among`` counts them by residue class, the loop stops
-once it holds all of U, and a closure of more arcs than
-``MAX_VERDICT_PAIRS`` pairs allow raises ``TooLarge``.
+row, the rule on it and members of the mask, and the new bits join the list
+in ascending order.  It stops once the members number k.  A row is the only
+interface of the loop, and each route supplies its own.  ``_close`` closes
+one seed, and ``_closed_sets`` lists every closed set of ``range(k)`` by
+lazy FCbO, up to ``MAX_CLOSED_SETS``: it closes each child from its closed
+parent and leaves the loop at the canonicity test.  An orbit row
+(:meth:`sphtor.orbit.OrbitCategory._e_row`) pairs its member with every
+member of the mask at once, from the cached Ext rows of the object; an arc
+row pairs it with the members up to it.
+The arc closures feed their row the integer pair kernels of
+:mod:`sphtor.extensions` (connector arcs, or the middle summands of both
+extensions), once the weights are checked, and intern arcs as ints in
+discovery order, so bit p is the p-th arc found.  Both arc rules return arcs
+on the endpoints of the pair, so a finite arc closure lies in the admissible
+arcs U on its seed's endpoints: ``_arcs_among`` counts them by residue
+class, the loop stops once it holds all of U, and a closure of more arcs
+than ``MAX_VERDICT_PAIRS`` pairs allow raises ``TooLarge``.
 Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
 plus partial-fountain generators).  ``is_torsion_class`` decides them
 exactly by a pair check on a bounded instantiation, and reports the perp
@@ -37,7 +34,6 @@ descriptor set, and it raises ``TooLarge``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from enum import Enum
 from math import isqrt
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
@@ -52,7 +48,8 @@ MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 ob
 MAX_VERDICT_PAIRS = 1 << 20  # pair budget of both verdict scans and of every finite closure
 _MAX_CLOSED_ARCS = (isqrt(8 * MAX_VERDICT_PAIRS + 1) - 1) // 2  # most A with A(A+1)/2 in budget
 
-_Row = Callable[[List[int], int], int]  # row(members, p): the rule on member p and members[: p + 1]
+# row(members, p, mask): the rule on member p and members in ``mask``, at least members[: p + 1]
+_Row = Callable[[List[int], int, int], int]
 
 
 def _grow(members: List[int], mask: int, row: _Row, k: int, p: int = 0, below: int = 0) -> int:
@@ -60,16 +57,17 @@ def _grow(members: List[int], mask: int, row: _Row, k: int, p: int = 0, below: i
 
     The one pair loop of every finite closure.  ``members`` is a list of
     indices in ``range(k)`` whose bits make ``mask``, and the members before
-    ``p`` are closed among themselves.  Member p ORs in ``row(members, p)``,
-    the mask of the rule on it and every member up to it (bits already in
-    ``mask`` may be left out), and the new bits join the list in ascending
-    order, so they meet every member when their own turn comes.  The loop
-    stops once the members number k: they are then all of ``range(k)``.
-    With ``below``, it returns at the first new bit of ``below``, and that
-    mask is not closed (the canonicity exit of ``_closed_sets``).
+    ``p`` are closed among themselves.  Member p ORs in ``row(members, p,
+    mask)``, the mask of the rule on it and members of ``mask``, at least
+    every member up to it (bits already in ``mask`` may be left out), and the
+    new bits join the list in ascending order, so they meet every member
+    when their own turn comes.  The loop stops once the members number k:
+    they are then all of ``range(k)``.  With ``below``, it returns at the
+    first new bit of ``below``, and that mask is not closed (the canonicity
+    exit of ``_closed_sets``), but it lies in the closure.
     """
     while p < len(members) < k:
-        new = row(members, p) & ~mask
+        new = row(members, p, mask) & ~mask
         if new:
             mask |= new
             if new & below:
@@ -82,36 +80,19 @@ def _grow(members: List[int], mask: int, row: _Row, k: int, p: int = 0, below: i
     return mask
 
 
-def _rows(k: int, rule: Callable[[int, int], int]) -> _Row:
-    """The row function of a symmetric mask-valued rule on ``range(k)``, asking each cell once."""
-    cells = defaultdict(lambda: [None] * k)  # row x of the cells, built when first read
-
-    def row(members: List[int], p: int) -> int:
-        x = members[p]
-        own, acc = cells[x], 0
-        for y in members[: p + 1]:
-            cell = own[y]
-            if cell is None:
-                cell = own[y] = cells[y][x] = rule(x, y)
-            acc |= cell
-        return acc
-
-    return row
-
-
-def _close(seed: Iterable[int], rule: Callable[[int, int], int], k: int) -> List[int]:
-    """Least superset of ``seed`` in ``range(k)`` closed under a symmetric mask-valued rule.
+def _close(seed: Iterable[int], row: _Row, k: int) -> List[int]:
+    """Least superset of ``seed`` in ``range(k)`` closed under a row function.
 
     Returns the members in the loop's order: the sorted seed, then each
     row's new members in ascending index.
     """
     members = sorted(set(seed))
-    _grow(members, sum(1 << x for x in members), _rows(k, rule), k)
+    _grow(members, sum(1 << x for x in members), row, k)
     return members
 
 
-def _closed_sets(k: int, rule: Callable[[int, int], int]) -> List[int]:
-    """Every subset of ``range(k)`` closed under ``rule``, as bitmasks in lectic order.
+def _closed_sets(k: int, row: _Row) -> List[int]:
+    """Every subset of ``range(k)`` closed under ``row``, as bitmasks in lectic order.
 
     Lazy FCbO (Outrata & Vychodil 2012).  The children of a closed set A,
     found by adding i, are the closures of A plus i for i above the index
@@ -125,14 +106,13 @@ def _closed_sets(k: int, rule: Callable[[int, int], int]) -> List[int]:
     A failed test at i keeps the mask closed so far as ``failed[i]``, and
     the descendants inherit it: they contain A, so their child at i closes
     over that mask too, and they skip it unless they hold every member of it
-    below i.  Every sibling above i is tried before the child at i descends,
-    which only tries indices above i, so laziness loses none of FCbO's
-    pruning.  ``failed`` is a dict copied per frame, so a copy costs the
-    failures, not k.  ``rule`` must be symmetric and mask-valued; one row
-    function serves the whole enumeration, so each cell is asked for once.
+    below i.  That holds for any row, since a row reads only members of the
+    mask, so ``failed[i]`` lies in the closure of A plus i.  Every sibling
+    above i is tried before the child at i descends, which only tries
+    indices above i, so laziness loses none of FCbO's pruning.  ``failed``
+    is a dict copied per frame, so a copy costs the failures, not k.
     Raises ``TooLarge`` rather than list more than ``MAX_CLOSED_SETS``.
     """
-    row = _rows(k, rule)
     out = [0]
     stack: List[list] = [[0, [], k - 1, -1, {}]]
     while stack:
@@ -207,7 +187,7 @@ def _close_arcs(w: int, arcs_in: Iterable[Arc], pair_rule: Callable[[Arc, Arc], 
     arcs = sorted(seed)
     seen = set(seed)
 
-    def row(members: List[int], p: int) -> int:
+    def row(members: List[int], p: int, mask: int) -> int:  # the arcs up to p; mask is unused
         x, start = arcs[p], len(arcs)
         for y in arcs[: p + 1]:
             for z in pair_rule(x, y):

@@ -14,7 +14,7 @@ from .errors import TooLarge
 from .orbit import MDiagonal
 
 PITCH = 36
-MAX_TICKS = 1 << 12  # vertices of the number line of an arc diagram
+MAX_TICKS = 1 << 12  # vertices of the number line of an arc diagram, or of a polygon
 MARGIN = 30
 BASE_STYLE = 'fill="none" stroke="black" stroke-width="1.5"'
 DASHED_STYLE = 'fill="none" stroke="black" stroke-width="1.2" stroke-dasharray="6,4"'
@@ -88,9 +88,20 @@ def svg_arc_diagram(
     return _svg(width, height, body)
 
 
-def svg_polygon_diagram(n: int, m: int, diagonals: Sequence[MDiagonal]) -> str:
-    """Diagonals drawn as chords of the N-gon, vertex 1 at the top, clockwise."""
+def _polygon_vertices(n: int, m: int) -> int:
+    """N = m(n+1) - 2, the vertices of the polygon of C_m(A_n); past ``MAX_TICKS`` it raises ``TooLarge``."""
     N = m * (n + 1) - 2
+    if N > MAX_TICKS:
+        raise TooLarge(f"refusing a polygon of {N} vertices, more than {MAX_TICKS}")
+    return N
+
+
+def svg_polygon_diagram(n: int, m: int, diagonals: Sequence[MDiagonal]) -> str:
+    """Diagonals drawn as chords of the N-gon, vertex 1 at the top, clockwise.
+
+    Past ``MAX_TICKS`` vertices it raises ``TooLarge``.
+    """
+    N = _polygon_vertices(n, m)
     radius = 150.0
     c = radius + MARGIN
     size = 2 * c

@@ -43,16 +43,20 @@ def t1_extensions(r: int, target: TubeObject) -> List[Tuple[TubeObject, ...]]:
     ``target`` is read relative to the base tube: shift 0 means same tube
     (abelian extensions, both summands unshifted), shift 1 the suspended one
     (cone of a map down into level r; one summand suspended).  Zero summands
-    are dropped from the emitted multisets.  There is one family per
+    are dropped from the emitted multisets.  Any other shift has no
+    extension, and raises ``NoExtension``.  There is one family per
     extension class, min(r, target.level) + 1 of them; past ``MAX_FAMILIES``
     it raises ``TooLarge`` before listing any.
     """
     if r < 0 or target.level < 0:
         raise ValueError("tube levels must be nonnegative")
+    if target.shift not in (0, 1):  # Ext^1(target, level r) = Hom(level r, target)
+        raise NoExtension(
+            f"Ext^1({target}, level {r}) = 0: the target sits in neither the same nor the "
+            f"suspended tube"
+        )
     s = target.level
-    dim = t1_ext_dim(TubeObject(target.shift, s), TubeObject(0, r))
-    if dim == 0:
-        raise NoExtension(f"Ext^1({target}, level {r}) = 0")
+    dim = t1_ext_dim(target, TubeObject(0, r))
     if dim > MAX_FAMILIES:  # one family per extension class
         raise TooLarge(f"refusing {dim} extension families, more than {MAX_FAMILIES}")
     out: List[Tuple[TubeObject, ...]] = []
@@ -63,7 +67,7 @@ def t1_extensions(r: int, target: TubeObject) -> List[Tuple[TubeObject, ...]]:
             if n - i >= 0:
                 middle.append(TubeObject(0, n - i))
             out.append(tuple(sorted(middle)))
-    elif target.shift == 1:
+    else:
         # cone of a rank-rho map from level s to level r, rho = image length
         for rho in range(1, min(r, s) + 2):
             middle = []
@@ -72,8 +76,6 @@ def t1_extensions(r: int, target: TubeObject) -> List[Tuple[TubeObject, ...]]:
             if r - rho >= 0:
                 middle.append(TubeObject(0, r - rho))
             out.append(tuple(sorted(middle)))
-    else:
-        raise NoExtension("target must sit in the same or the suspended tube")
     return out
 
 

@@ -55,6 +55,22 @@ def symmetric_rules(draw, min_k=0, max_k=10, densities=(0.0, 0.05, 0.15, 0.4)):
     return k, table
 
 
+def table_row(table):
+    """The row function of a symmetric bitmask table: member p with every member up to it.
+
+    Uncached, and it reads no member past p, so it shares no shortcut with
+    the library's rows.
+    """
+
+    def row(members, p, mask):
+        x, acc = members[p], 0
+        for y in members[: p + 1]:
+            acc |= table[x][y]
+        return acc
+
+    return row
+
+
 def plain_fixpoint(seed, table):
     """Least superset of the bitmask ``seed`` closed under a bitmask table, by rounds.
 

@@ -335,6 +335,7 @@ def test_bad_input_exit_code(tmp_path, capsys, name):
 
 RUNAWAY = {
     "render_far_arcs": (("render", "--w", "2", "--arcs", "0,3;1000000000,1000000003"), MAX_TICKS),
+    "render_huge_polygon": (("render", "--n", "1", "--m", "60000", "--diagonals", "1,3"), MAX_TICKS),
     "t1_high_levels": (("t1", "extensions", "--r", "1000000000", "--target", "0,1000000000"),
                        MAX_FAMILIES),
 }
@@ -342,7 +343,7 @@ RUNAWAY = {
 
 @pytest.mark.parametrize("name", sorted(RUNAWAY))
 def test_runaway_inputs_are_refused_at_once(capsys, name):
-    # both costs grow with the magnitude of the input, not its length
+    # each cost grows with the magnitude of the input, not its length
     words, limit = RUNAWAY[name]
     start = time.process_time()
     code, out, err = invoke(capsys, *words)

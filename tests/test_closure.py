@@ -33,7 +33,7 @@ from sphtor.closure import MAX_VERDICT_PAIRS, _arcs_among, _close, _closedness_m
 from sphtor.extensions import _both_middles, _connectors_ints
 from sphtor.hammocks import _hom_nonzero_ints
 
-from conftest import ALL_WEIGHTS, plain_fixpoint, random_arc_sets, symmetric_rules
+from conftest import ALL_WEIGHTS, plain_fixpoint, random_arc_sets, symmetric_rules, table_row
 
 
 def test_closure_examples():
@@ -85,7 +85,7 @@ def test_closure_is_a_closure_operator(w):
 def test_close_is_the_plain_fixpoint(case, data):
     k, table = case
     seed = data.draw(st.sets(st.integers(0, k - 1)))
-    members = _close(seed, lambda x, y: table[x][y], k)
+    members = _close(seed, table_row(table), k)
     assert len(members) == len(set(members))
     assert sum(1 << x for x in members) == plain_fixpoint(sum(1 << x for x in seed), table)
 
@@ -95,8 +95,8 @@ def test_close_member_order():
     # row 0 (3 with 3) adds 4 and 1, row 1 (5 with 3, 5) adds 2 and 0,
     # row 2 (1 with 3, 5, 1) adds nothing new, row 3 (4 with ...) adds 6
     cells = {(3, 3): 0b10010, (5, 3): 0b00100, (5, 5): 0b00001, (1, 5): 0b00100, (4, 1): 0b1000000}
-    rule = lambda x, y: cells.get((x, y), 0) | cells.get((y, x), 0)
-    assert _close([5, 3], rule, 7) == [3, 5, 1, 4, 0, 2, 6]
+    table = [[cells.get((x, y), 0) | cells.get((y, x), 0) for y in range(7)] for x in range(7)]
+    assert _close([5, 3], table_row(table), 7) == [3, 5, 1, 4, 0, 2, 6]
 
 
 def test_arc_closure_member_order():

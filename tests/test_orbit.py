@@ -21,7 +21,7 @@ from sphtor import (
     db_translate_inv,
 )
 
-from conftest import plain_fixpoint, symmetric_rules
+from conftest import plain_fixpoint, symmetric_rules, table_row
 
 SMALL = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (1, 3)]
 # every pair of these is checked against the derived route; (1, 2) and (1, 3)
@@ -327,21 +327,22 @@ dense_symmetric_rules = symmetric_rules(min_k=6, max_k=12, densities=(0.2, 0.4, 
 @settings(max_examples=200, deadline=None)
 def test_closed_sets_follow_next_closure(case):
     k, table = case
-    assert _closed_sets(k, lambda i, j: table[i][j]) == list(_next_closure(k, table))
+    assert _closed_sets(k, table_row(table)) == list(_next_closure(k, table))
 
 
 @given(dense_symmetric_rules)
 @settings(max_examples=100, deadline=None)
 def test_closed_sets_follow_next_closure_when_failures_are_inherited(case):
     k, table = case
-    assert _closed_sets(k, lambda i, j: table[i][j]) == list(_next_closure(k, table))
+    assert _closed_sets(k, table_row(table)) == list(_next_closure(k, table))
 
 
 def test_closed_sets_refuse_past_the_cap():
     # a rule that adds nothing closes all 2^17 subsets of 17 elements
-    assert sorted(_closed_sets(16, lambda i, j: 0)) == list(range(MAX_CLOSED_SETS))
+    nothing = lambda members, p, mask: 0
+    assert sorted(_closed_sets(16, nothing)) == list(range(MAX_CLOSED_SETS))
     with pytest.raises(TooLarge, match=str(MAX_CLOSED_SETS)):
-        _closed_sets(17, lambda i, j: 0)
+        _closed_sets(17, nothing)
 
 
 def test_enumeration_guard():
@@ -351,27 +352,33 @@ def test_enumeration_guard():
 
 
 def test_enumeration_guard_work_follows_sets_visited():
-    # 4180 objects: a full _e_mask table would take 8.7 million calls
+    # 4180 objects: Hom rows of every object would take 8360 scans of all of them
     cat = OrbitCategory(20, 20)
-    calls = []
-    e_mask = cat._e_mask
-    cat._e_mask = lambda i, j: calls.append((i, j)) or e_mask(i, j)
+    scans = []
+    row = cat._row
+
+    def counted(i, into):
+        if (i, into) not in cat._rows:
+            scans.append((i, into))
+        return row(i, into)
+
+    cat._row = counted
     # CPU time, so that other processes on the host do not count
     start = time.process_time()
     with pytest.raises(TooLarge, match=str(MAX_CLOSED_SETS)):
         cat.torsion_classes()
     assert time.process_time() - start < 2
-    assert 0 < len(calls) == len(set(calls)) < len(cat.objects)
+    assert 0 < len(scans) == len(set(scans)) < len(cat.objects)
 
 
-def test_enumeration_calls_e_set_once_per_unordered_pair():
-    cat = OrbitCategory(2, 5)
-    calls = []
-    e_mask = cat._e_mask
-    cat._e_mask = lambda i, j: calls.append((i, j)) or e_mask(i, j)
-    cat.torsion_classes()
-    k = len(cat.objects)
-    assert 0 < len(calls) <= k * (k + 1) // 2
+@pytest.mark.parametrize("n,m", SWEEP)
+def test_ext_row_is_the_hom_row_of_the_inverse_translate(n, m):
+    # Ext^1(j, i) = Hom(i, tau j): the bit of tau j in the row of i stays the reference
+    cat = OrbitCategory(n, m)
+    for i in range(len(cat.objects)):
+        out = cat._row(i, False)
+        expected = sum(1 << j for j in range(len(cat.objects)) if out >> cat._tau[j] & 1)
+        assert cat._row(cat._tau_inv[i], False) == expected
 
 
 def _subset_scan(cat):
@@ -416,10 +423,7 @@ def _closed_families(cat):
     eset = [[sum(1 << index[x] for x in cat.e_set(a, b)) for b in objs] for a in objs]
     ptol = [[sum(1 << by_diag[d] for d in cat.ptolemy(da, db)) for db in diags] for da in diags]
     k = len(objs)
-    return (
-        _closed_sets(k, lambda i, j: eset[i][j]),
-        _closed_sets(k, lambda i, j: ptol[i][j]),
-    )
+    return _closed_sets(k, table_row(eset)), _closed_sets(k, table_row(ptol))
 
 
 @pytest.mark.parametrize("n,m", [(5, 2), (3, 4), (2, 7), (4, 3)])

@@ -21,7 +21,7 @@ def test_public_names_resolve_and_hold_no_modules():
         "db_functor", "NonConvergence", "report_window",
         "in_forward_hom", "in_backward_hom", "in_backward_ext", "interior_vertices",
         "extended_interval", "exray_leq", "middle_term_multi_by_iteration",
-        "ExtendedInterval", "IntervalKind",
+        "ExtendedInterval", "IntervalKind", "db_serre",
     ):
         assert gone not in sphtor.__all__
     for module in ("arcs", "closure", "errors", "extensions", "hammocks", "orbit", "tube"):

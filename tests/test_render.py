@@ -50,3 +50,11 @@ def test_arc_diagram_refuses_past_its_tick_budget():
     assert svg.count("<text") == MAX_TICKS
     with pytest.raises(TooLarge, match=str(MAX_TICKS)):
         svg_arc_diagram(0, [arc(0, 0, 0)], dashed=[arc(0, last + 1, last + 1)])
+
+
+def test_polygon_diagram_refuses_past_its_tick_budget():
+    # N = m(n + 1) - 2: 2049 * 2 - 2 = MAX_TICKS vertices, then two more
+    svg = svg_polygon_diagram(1, 2049, [])
+    assert svg.count("<circle") == MAX_TICKS
+    with pytest.raises(TooLarge, match=str(MAX_TICKS)):
+        svg_polygon_diagram(1, 2050, [])

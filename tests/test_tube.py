@@ -40,8 +40,9 @@ def test_extension_family_examples():
         (TubeObject(0, 0), TubeObject(1, 0)),
         (),
     ]
-    with pytest.raises(NoExtension):
-        t1_extensions(1, TubeObject(2, 3))
+    for shift in (-1, 2):
+        with pytest.raises(NoExtension, match="neither the same nor the suspended tube"):
+            t1_extensions(1, TubeObject(shift, 3))
 
 
 def test_extension_family_count_matches_ext_dimension():
