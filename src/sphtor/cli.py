@@ -279,7 +279,7 @@ def _orbit_middle(args):
 def _orbit_closure(args):
     cat = OrbitCategory(args.n, args.m)
     closed = sorted(cat.closure_diagonals(_diag_list(args.diagonals)))
-    return " ".join(map(str, closed)), {
+    return " ".join(map(str, closed)) or "(empty)", {
         "n": args.n, "m": args.m, "diagonals": [[d.i, d.j] for d in closed]
     }
 

@@ -1,16 +1,18 @@
 """Extension closure, fountains, and torsion-class verdicts.
 
 Every finite closure runs one pair loop, ``_grow``, on bitsets over
-``range(k)``: it keeps a member list and its mask, and member p ORs in a
-row, the rule on it and members of the mask, and the new bits join the list
-in ascending order.  It stops once the members number k.  A row is the only
-interface of the loop, and each route supplies its own.  ``_close`` closes
-one seed, and ``_closed_sets`` lists every closed set of ``range(k)`` by
-lazy FCbO, up to ``MAX_CLOSED_SETS``: it closes each child from its closed
-parent and leaves the loop at the canonicity test.  An orbit row
-(:meth:`sphtor.orbit.OrbitCategory._e_row`) pairs its member with every
-member of the mask at once, from the cached Ext rows of the object; an arc
-row pairs it with the members up to it.
+``range(k)``: its state is two masks, the members and the members done.  It
+takes the lowest member not yet done, adds it to the done mask and ORs in a
+row, the rule on that member and every member done, so each pair is met
+when the later of the two is taken.  It stops once the members are all of
+``range(k)``.  A row is the only interface of the loop, and each route
+supplies its own.  ``_close`` closes one seed, and ``_closed_sets`` lists
+every closed set of ``range(k)`` by lazy FCbO, up to ``MAX_CLOSED_SETS``: it
+closes each child from its closed parent, all done, and leaves the loop at
+the canonicity test.  An orbit row
+(:meth:`sphtor.orbit.OrbitCategory._e_row`) pairs its member with the done
+mask from the cached Ext rows of the object; an arc row pairs it with the
+arcs up to it, which are the members done.
 The arc closures feed their row the integer pair kernels of
 :mod:`sphtor.extensions` (connector arcs, or the middle summands of both
 extensions), once the weights are checked, and intern arcs as ints in
@@ -48,47 +50,40 @@ MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 ob
 MAX_VERDICT_PAIRS = 1 << 20  # pair budget of both verdict scans and of every finite closure
 _MAX_CLOSED_ARCS = (isqrt(8 * MAX_VERDICT_PAIRS + 1) - 1) // 2  # most A with A(A+1)/2 in budget
 
-# row(members, p, mask): the rule on member p and members in ``mask``, at least members[: p + 1]
-_Row = Callable[[List[int], int, int], int]
+# row(x, done): the rule on member x and every member of ``done``, x included
+_Row = Callable[[int, int], int]
 
 
-def _grow(members: List[int], mask: int, row: _Row, k: int, p: int = 0, below: int = 0) -> int:
-    """Close ``members`` in place from position ``p``, and return the closed mask.
+def _grow(done: int, mask: int, row: _Row, full: int, below: int = 0) -> int:
+    """Close ``mask``, given the members ``done`` already taken, and return the closed mask.
 
-    The one pair loop of every finite closure.  ``members`` is a list of
-    indices in ``range(k)`` whose bits make ``mask``, and the members before
-    ``p`` are closed among themselves.  Member p ORs in ``row(members, p,
-    mask)``, the mask of the rule on it and members of ``mask``, at least
-    every member up to it (bits already in ``mask`` may be left out), and the
-    new bits join the list in ascending order, so they meet every member
-    when their own turn comes.  The loop stops once the members number k:
-    they are then all of ``range(k)``.  With ``below``, it returns at the
-    first new bit of ``below``, and that mask is not closed (the canonicity
-    exit of ``_closed_sets``), but it lies in the closure.
+    The one pair loop of every finite closure, on bitsets over ``range(k)``:
+    ``done`` lies in ``mask``, and the pairs within ``done`` are met.  Each
+    step takes the lowest member x of ``mask`` not yet done, adds it to
+    ``done`` and ORs in ``row(x, done)``, so each pair is met when the later
+    of its two members is taken.  The loop stops once ``mask`` is ``full``,
+    all of ``range(k)``, when no remaining pair can add a member.  With
+    ``below``, it returns at the first new bit of ``below``, and that mask is
+    not closed (the canonicity exit of ``_closed_sets``), but it lies in the
+    closure.
     """
-    while p < len(members) < k:
-        new = row(members, p, mask) & ~mask
-        if new:
-            mask |= new
+    while mask != full:
+        waiting = mask ^ done
+        if not waiting:
+            break
+        low = waiting & -waiting
+        done |= low
+        grown = mask | row(low.bit_length() - 1, done)
+        if grown != mask:
+            new, mask = grown ^ mask, grown
             if new & below:
-                return mask
-            while new:
-                low = new & -new
-                members.append(low.bit_length() - 1)
-                new ^= low
-        p += 1
+                break
     return mask
 
 
-def _close(seed: Iterable[int], row: _Row, k: int) -> List[int]:
-    """Least superset of ``seed`` in ``range(k)`` closed under a row function.
-
-    Returns the members in the loop's order: the sorted seed, then each
-    row's new members in ascending index.
-    """
-    members = sorted(set(seed))
-    _grow(members, sum(1 << x for x in members), row, k)
-    return members
+def _close(seed: Iterable[int], row: _Row, k: int) -> int:
+    """Least superset of ``seed`` in ``range(k)`` closed under a row function, as a bitmask."""
+    return _grow(0, sum(1 << x for x in set(seed)), row, (1 << k) - 1)
 
 
 def _closed_sets(k: int, row: _Row) -> List[int]:
@@ -97,32 +92,32 @@ def _closed_sets(k: int, row: _Row) -> List[int]:
     Lazy FCbO (Outrata & Vychodil 2012).  The children of a closed set A,
     found by adding i, are the closures of A plus i for i above the index
     that produced A, kept when nothing below i joins (the canonicity test).
-    ``_grow`` closes a child from A's member list, so only the rows of its
-    new members are read, and stops at the first member below i.  Children
-    are closed one at a time in descending i, depth first, which is lectic
-    order: an explicit stack holds one frame ``[mask, members, next i, last,
-    failed]`` per closed set on the current path, and a frame resumes at its
-    next i once the child it pushed is done.
+    ``_grow`` closes a child with A as the members already taken, so only
+    the rows of its new members are read, and stops at the first member
+    below i.  Children are closed one at a time in descending i, depth
+    first, which is lectic order: an explicit stack holds one frame ``[mask,
+    next i, last, failed]`` per closed set on the current path, and a frame
+    resumes at its next i once the child it pushed is done.
     A failed test at i keeps the mask closed so far as ``failed[i]``, and
     the descendants inherit it: they contain A, so their child at i closes
     over that mask too, and they skip it unless they hold every member of it
-    below i.  That holds for any row, since a row reads only members of the
-    mask, so ``failed[i]`` lies in the closure of A plus i.  Every sibling
-    above i is tried before the child at i descends, which only tries
-    indices above i, so laziness loses none of FCbO's pruning.  ``failed``
-    is a dict copied per frame, so a copy costs the failures, not k.
+    below i.  ``failed[i]`` lies in the closure of A plus i, since a row
+    reads only members taken.  Every sibling above i is tried before the
+    child at i descends, which only tries indices above i, so laziness
+    loses none of FCbO's pruning.  ``failed`` is a dict copied per frame,
+    so a copy costs the failures, not k.
     Raises ``TooLarge`` rather than list more than ``MAX_CLOSED_SETS``.
     """
+    full = (1 << k) - 1
     out = [0]
-    stack: List[list] = [[0, [], k - 1, -1, {}]]
+    stack: List[list] = [[0, k - 1, -1, {}]]
     while stack:
         frame = stack[-1]
-        mask, members, i, last, failed = frame
+        mask, i, last, failed = frame
         while i > last:
             bit = 1 << i
             if not mask & bit and not (i in failed and failed[i] & ~mask & (bit - 1)):
-                child_members = members + [i]
-                child = _grow(child_members, mask | bit, row, k, len(members), bit - 1)
+                child = _grow(mask, mask | bit, row, full, bit - 1)
                 if not child & ~mask & (bit - 1):
                     break
                 failed[i] = child
@@ -130,11 +125,11 @@ def _closed_sets(k: int, row: _Row) -> List[int]:
         else:
             stack.pop()
             continue
-        frame[2] = i - 1
+        frame[1] = i - 1
         if len(out) == MAX_CLOSED_SETS:
             raise TooLarge(f"refusing to list more than {MAX_CLOSED_SETS} closed sets")
         out.append(child)
-        stack.append([child, child_members, k - 1, i, failed.copy()])
+        stack.append([child, k - 1, i, failed.copy()])
     return out
 
 
@@ -172,14 +167,18 @@ def _close_arcs(w: int, arcs_in: Iterable[Arc], pair_rule: Callable[[Arc, Arc], 
     """The closure of a finite arc set under a rule that stays on the pair's endpoints.
 
     Arcs are interned as ints in discovery order: the sorted seed, then each
-    new arc as the rule returns it, so arc p is member p of ``_grow`` and the
-    list returned is the members in the loop's order.  The admissible arcs U
-    on the seed's endpoints are closed under the rule, so the loop stops once
-    it holds all of U; the row stops at that arc too, so the rule is asked
-    no further.  A closure of A arcs visits at most A(A+1)/2 pairs, and one
-    whose count passes ``MAX_VERDICT_PAIRS`` raises ``TooLarge``: when U is
-    larger than the budget allows, the same exit stops the loop at the arc
-    that passes it, so a refusal visits no more pairs than the budget either.
+    new arc as the rule returns it, so bit p of ``_grow`` is the p-th arc
+    found and the list returned is in that order.  The loop takes the lowest
+    waiting bit and new arcs get higher ones, so the members done when arc p
+    is taken are the arcs up to it, which its row pairs it with.  The
+    admissible arcs U on the seed's endpoints are closed under the rule, so
+    the loop stops once it holds all of U; the row stops at that arc too, so
+    the rule is asked no further.  A closure of A arcs visits at most
+    A(A+1)/2 pairs, and one whose count passes ``MAX_VERDICT_PAIRS`` raises
+    ``TooLarge``: when U is larger than the budget allows, the same exit
+    stops the loop at the arc that passes it, and a seed already past it is
+    refused unclosed, so a refusal visits no more pairs than the budget
+    either.
     """
     seed = _weighted(w, arcs_in)
     size = _arcs_among(w, (v for a in seed for v in a.vertices))
@@ -187,7 +186,7 @@ def _close_arcs(w: int, arcs_in: Iterable[Arc], pair_rule: Callable[[Arc, Arc], 
     arcs = sorted(seed)
     seen = set(seed)
 
-    def row(members: List[int], p: int, mask: int) -> int:  # the arcs up to p; mask is unused
+    def row(p: int, done: int) -> int:  # done is the arcs up to p
         x, start = arcs[p], len(arcs)
         for y in arcs[: p + 1]:
             for z in pair_rule(x, y):
@@ -198,7 +197,8 @@ def _close_arcs(w: int, arcs_in: Iterable[Arc], pair_rule: Callable[[Arc, Arc], 
                         return (1 << k) - (1 << start)
         return (1 << len(arcs)) - (1 << start)  # the arcs this row interned
 
-    _grow(list(range(len(arcs))), (1 << len(arcs)) - 1, row, k)
+    if len(arcs) < k:  # a seed of k arcs or more is full, or past the budget
+        _close(range(len(arcs)), row, k)
     if len(arcs) > _MAX_CLOSED_ARCS:
         raise TooLarge(
             f"refusing a closure of more than {MAX_VERDICT_PAIRS} pairs: it holds more than "

@@ -15,24 +15,26 @@ across the cut.  There is one index space: the objects are sorted by the
 diagonal each lies on, so object i lies on ``diagonals[i]``, the i-th
 diagonal in sorted order.  On objects, Hom is decided once per object:
 ``_row`` scans the objects by the derived rule and caches the targets (or
-sources) as a bitmask over their indices.  ``hom_dim`` reads one bit of a
-row.  The translate tau is an autoequivalence, so Ext^1(j, i) = Hom(i, tau
-j) = Hom(tau^-1 i, j): the whole Ext row of i is the Hom row of tau^-1 i,
-and ``ext_dim`` reads one bit of it.  ``_frame`` keeps, per object, its two
-Ext rows and its starting and ending frames, each a mask of Hom rows.  The
-middles of an extension are the starting frame of one object met with the
-ending frame of the other, so ``_e_row`` pairs an object with every member
-of a mask at once: it meets its frames with the other frames of the members
-its Ext rows hit.  Torsion classes are the sets closed under middle terms,
-and ``_e_row`` is the row of the closure module's one loop: ``closure``
-closes one seed with ``_close``, and ``torsion_classes`` lists every closed
-set with ``_closed_sets`` (lazy FCbO) as bitmasks over the same indices,
-which byte tables of sorted diagonal tuples turn into classes.
+sources) as a bitmask over their indices; a closure or an enumeration is
+refused once its new rows pass ``MAX_ROW_CELLS`` scanned cells.  ``hom_dim``
+reads one bit of a row.  The translate tau is an autoequivalence, so
+Ext^1(j, i) = Hom(i, tau j) = Hom(tau^-1 i, j): the whole Ext row of i is
+the Hom row of tau^-1 i, and ``ext_dim`` reads one bit of it.  ``_frame``
+keeps, per object, its two Ext rows and its starting and ending frames, each
+a mask of Hom rows.  The middles of an extension are the starting frame of
+one object met with the ending frame of the other, so ``_e_row(i, done)``
+pairs object i with the members the closure loop has already taken, i
+included: it meets its frames with the other frames of the members its Ext
+rows hit.  Torsion classes are the sets closed under middle terms, and
+``_e_row`` is the row of the closure module's one loop: ``closure`` closes
+one seed with ``_close``, and ``torsion_classes`` lists every closed set
+with ``_closed_sets`` (lazy FCbO) as bitmasks over the same indices, which
+byte tables of sorted diagonal tuples turn into classes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .arcs import _crossing_ints, arcs_in_window
 from .closure import _close, _closed_sets
@@ -41,6 +43,7 @@ from .extensions import _connectors_ints
 from .hammocks import _ext_arc_nonzero_ints, _hom_nonzero_ints
 
 MAX_OBJECTS = 1 << 16  # checked before the fundamental domain is built
+MAX_ROW_CELLS = 1 << 22  # Hom cells one closure or enumeration may scan: rows times objects
 
 
 class IntervalObject(NamedTuple):
@@ -96,12 +99,14 @@ def db_translate_inv(n: int, x: IntervalObject) -> IntervalObject:
     return IntervalObject(x.degree + 1, 1, x.lo)
 
 
-def _bits(mask: int) -> Iterator[int]:
+def _bits(mask: int) -> List[int]:
     """The indices of the set bits of a mask, lowest first."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 class OrbitCategory:
@@ -141,6 +146,7 @@ class OrbitCategory:
         for i, t in enumerate(self._tau):
             self._tau_inv[t] = i
         self._rows: Dict[Tuple[int, bool], int] = {}
+        self._row_start: Optional[int] = None  # rows cached when a budgeted call began
         self._frames: List[Optional[Tuple[int, int, int, int]]] = [None] * len(self.objects)
         self._validate([d for d, _ in placed])
 
@@ -225,10 +231,19 @@ class OrbitCategory:
         1 (the others vanish).  F is an autoequivalence of the derived
         category, so Hom(a, F b) = Hom(F^-1 a, b), and one scan of
         ``self.objects`` twists a alone.  Cached; the only caller of
-        :func:`db_hom_dim`.
+        :func:`db_hom_dim`.  Inside ``_budgeted``, a scan that would take the
+        rows cached since it began past ``MAX_ROW_CELLS`` cells, rows times
+        objects, raises ``TooLarge``; point queries are not budgeted.
         """
         row = self._rows.get((i, into))
         if row is None:
+            if self._row_start is not None:
+                rows, k = len(self._rows) - self._row_start + 1, len(self.objects)
+                if rows * k > MAX_ROW_CELLS:
+                    raise TooLarge(
+                        f"refusing to scan more than {MAX_ROW_CELLS} Hom cells of "
+                        f"C_{self.m}(A_{self.n}) in one call: {rows} rows of {k} objects"
+                    )
             a, n = self.objects[i], self.n
             twist = self.orbit_shift(a, 1 if into else -1)
             row = 0
@@ -275,20 +290,22 @@ class OrbitCategory:
             frame = self._frames[i] = (ext_out, ext_in, starts, ends)
         return frame
 
-    def _e_row(self, members: List[int], p: int, mask: int) -> int:
-        """The ``e_set`` of member p with every object of ``mask``, as a bitmask.
+    def _e_row(self, i: int, done: int) -> int:
+        """The ``e_set`` of object i with every object of ``done``, as a bitmask.
 
-        The middles of the extension of j by i are the starting frame of i
-        met with the ending frame of j, so the ending frames of the objects of
-        ``mask`` that i extends meet its starting frame, and the starting
-        frames of those extending i meet its ending frame.  The bit loop is
-        inlined: with a generator and a call per partner, ``torsion_classes``
-        at (2, 6) ran a fifth slower or more (best of 7, 2-CPU host).
+        The row of the closure loop: ``done`` holds i and the members taken
+        before it.  The middles of the extension of j by i are the starting
+        frame of i met with the ending frame of j, so the ending frames of the
+        objects of ``done`` that i extends meet its starting frame, and the
+        starting frames of those extending i meet its ending frame.  The bit
+        loop is inlined: with a generator and a call per partner,
+        ``torsion_classes`` at (2, 6) ran a fifth slower or more (best of 7,
+        2-CPU host).
         """
         frames = self._frames
-        ext_out, ext_in, starts, ends = frames[members[p]] or self._frame(members[p])
+        ext_out, ext_in, starts, ends = frames[i] or self._frame(i)
         to_ends = to_starts = 0
-        pick = mask & (ext_out | ext_in)
+        pick = done & (ext_out | ext_in)
         while pick:
             low = pick & -pick
             j = low.bit_length() - 1
@@ -302,11 +319,11 @@ class OrbitCategory:
 
     def _e_mask(self, i: int, j: int) -> int:
         """The ``e_set`` of objects i and j as a bitmask."""
-        return self._e_row([i], 0, 1 << j) & ~(1 << i | 1 << j)
+        return self._e_row(i, 1 << j) & ~(1 << i | 1 << j)
 
-    def _objects_in(self, mask: int) -> Iterator[IntervalObject]:
+    def _objects_in(self, mask: int) -> List[IntervalObject]:
         """The objects of a bitmask, in the order of ``self.objects`` (by diagonal)."""
-        return (self.objects[j] for j in _bits(mask))
+        return [self.objects[j] for j in _bits(mask)]
 
     def frames(self, a: IntervalObject) -> Tuple[FrozenSet[IntervalObject], FrozenSet[IntervalObject]]:
         """Starting and ending frames: Hom-reachable, Ext-rigid neighbourhoods."""
@@ -398,15 +415,31 @@ class OrbitCategory:
 
     # -- closure and enumeration ------------------------------------------------
 
+    def _budgeted(self, run, *args):
+        """``run(*args)``, with ``_row`` refusing past ``MAX_ROW_CELLS`` new cells."""
+        self._row_start = len(self._rows)
+        try:
+            return run(*args)
+        finally:
+            self._row_start = None
+
     def closure(self, seed: Iterable[IntervalObject]) -> FrozenSet[IntervalObject]:
-        """Least extension-closed object set containing the seed."""
-        members = _close([self._idx(x) for x in seed], self._e_row, len(self.objects))
-        return frozenset(self.objects[i] for i in members)
+        """Least extension-closed object set containing the seed.
+
+        Raises ``TooLarge`` rather than scan more than ``MAX_ROW_CELLS`` Hom
+        cells it has not cached before.
+        """
+        mask = self._budgeted(_close, [self._idx(x) for x in seed], self._e_row, len(self.objects))
+        return frozenset(self._objects_in(mask))
 
     def closure_diagonals(self, seed: Iterable[MDiagonal]) -> FrozenSet[MDiagonal]:
-        """Least extension-closed diagonal set containing the seed, closed on diagonal ranks."""
-        members = _close([self._rank_of(d) for d in seed], self._e_row, len(self.diagonals))
-        return frozenset(self.diagonals[i] for i in members)
+        """Least extension-closed diagonal set containing the seed, closed on diagonal ranks.
+
+        Same row budget as ``closure``.
+        """
+        ranks = [self._rank_of(d) for d in seed]
+        mask = self._budgeted(_close, ranks, self._e_row, len(self.diagonals))
+        return frozenset([self.diagonals[i] for i in _bits(mask)])
 
     def torsion_classes(self) -> List[Tuple[MDiagonal, ...]]:
         """All torsion classes, as sorted diagonal tuples in lexicographic order.
@@ -417,12 +450,16 @@ class OrbitCategory:
         a mask, read in a table of the 256 sorted diagonal tuples of the
         objects 8b..8b+7, gives that byte's share of the class in order, and
         a class is the concatenation of its bytes' tuples.  The tables are
-        built once the enumeration has returned, and the list is sorted once.
-        Past 2^16 classes it raises ``TooLarge``.  The rows read only the
-        frames of objects the enumeration reaches, so the Hom rows scanned
-        before ``TooLarge`` follow the sets visited, not the object count.
+        built once the enumeration has returned, and the list is sorted once:
+        sorting the masks by an int lexicographic-rank key, or one ``sorted``
+        over tuples built per class, took two to three times as long at (2, 6)
+        and (4, 3) (2-CPU host).
+        Past 2^16 classes, or ``MAX_ROW_CELLS`` Hom cells not cached before
+        the call, it raises ``TooLarge``.  The rows read only the frames of
+        objects the enumeration reaches, so the Hom rows scanned before
+        ``TooLarge`` follow the sets visited, not the object count.
         """
-        masks = _closed_sets(len(self.objects), self._e_row)
+        masks = self._budgeted(_closed_sets, len(self.objects), self._e_row)
         tables = []
         for low in range(0, len(self.objects), 8):
             table: List[Tuple[MDiagonal, ...]] = [()]

@@ -56,19 +56,32 @@ def symmetric_rules(draw, min_k=0, max_k=10, densities=(0.0, 0.05, 0.15, 0.4)):
 
 
 def table_row(table):
-    """The row function of a symmetric bitmask table: member p with every member up to it.
+    """The row function of a symmetric bitmask table: member x with every member of ``done``.
 
-    Uncached, and it reads no member past p, so it shares no shortcut with
-    the library's rows.
+    Uncached, and it reads only ``done``, so it shares no shortcut with the
+    library's rows.
     """
 
-    def row(members, p, mask):
-        x, acc = members[p], 0
-        for y in members[: p + 1]:
-            acc |= table[x][y]
+    def row(x, done):
+        acc = 0
+        for y in range(len(table)):
+            if done >> y & 1:
+                acc |= table[x][y]
         return acc
 
     return row
+
+
+def spy_row(table, seen):
+    """``table_row`` that checks x is in ``done`` on every call and appends ``done`` to ``seen``."""
+    row = table_row(table)
+
+    def spy(x, done):
+        assert done >> x & 1, (x, done)
+        seen.append(done)
+        return row(x, done)
+
+    return spy
 
 
 def plain_fixpoint(seed, table):

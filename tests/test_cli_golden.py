@@ -53,6 +53,7 @@ CASES = {
     "orbit_ext": ("orbit", "ext", "--n", "3", "--m", "2", "--a", "1,6", "--b", "2,3"),
     "orbit_middle": ("orbit", "middle", "--n", "3", "--m", "2", "--a", "1,6", "--b", "2,3"),
     "orbit_closure": ("orbit", "closure", "--n", "2", "--m", "2", "--diagonals", "1,2;3,4"),
+    "orbit_closure_empty": ("orbit", "closure", "--n", "2", "--m", "2", "--diagonals", ""),
     "orbit_enumerate": ("orbit", "enumerate", "--n", "2", "--m", "2"),
     "render_arcs": ("render", "--w", "2", "--arcs", "0,3;1,4", "--dashed", "0,4;1,3"),
     "render_polygon": ("render", "--n", "3", "--m", "2", "--diagonals", "1,2;3,6"),

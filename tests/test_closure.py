@@ -33,7 +33,7 @@ from sphtor.closure import MAX_VERDICT_PAIRS, _arcs_among, _close, _closedness_m
 from sphtor.extensions import _both_middles, _connectors_ints
 from sphtor.hammocks import _hom_nonzero_ints
 
-from conftest import ALL_WEIGHTS, plain_fixpoint, random_arc_sets, symmetric_rules, table_row
+from conftest import ALL_WEIGHTS, plain_fixpoint, random_arc_sets, spy_row, symmetric_rules
 
 
 def test_closure_examples():
@@ -85,18 +85,11 @@ def test_closure_is_a_closure_operator(w):
 def test_close_is_the_plain_fixpoint(case, data):
     k, table = case
     seed = data.draw(st.sets(st.integers(0, k - 1)))
-    members = _close(seed, table_row(table), k)
-    assert len(members) == len(set(members))
-    assert sum(1 << x for x in members) == plain_fixpoint(sum(1 << x for x in seed), table)
-
-
-def test_close_member_order():
-    # the sorted seed, then each row's new members in ascending index:
-    # row 0 (3 with 3) adds 4 and 1, row 1 (5 with 3, 5) adds 2 and 0,
-    # row 2 (1 with 3, 5, 1) adds nothing new, row 3 (4 with ...) adds 6
-    cells = {(3, 3): 0b10010, (5, 3): 0b00100, (5, 5): 0b00001, (1, 5): 0b00100, (4, 1): 0b1000000}
-    table = [[cells.get((x, y), 0) | cells.get((y, x), 0) for y in range(7)] for x in range(7)]
-    assert _close([5, 3], table_row(table), 7) == [3, 5, 1, 4, 0, 2, 6]
+    seen = []
+    closed = _close(seed, spy_row(table, seen), k)
+    assert closed == plain_fixpoint(sum(1 << x for x in seed), table)
+    # the loop hands a row only members it has taken, never one outside the closure
+    assert all(not done & ~closed for done in seen)
 
 
 def test_arc_closure_member_order():
@@ -113,6 +106,26 @@ def test_arc_closure_member_order():
     assert members[:2] == sorted(seed)
     assert members[2:] == list(dict.fromkeys(x for x in returned if x not in seed))
     assert members == [arc(2, 0, 3), arc(2, 1, 4), arc(2, 1, 3), arc(2, 0, 4)]
+
+
+def test_arc_row_pairs_each_arc_with_the_arcs_done(monkeypatch):
+    # the arc row pairs arc p with the arcs up to it, so those must be the
+    # members done: p and every arc before it, as the lowest waiting bit goes first
+    close, taken = closure._close, []
+
+    def spy_close(seed, row, k):
+        def spy(p, done):
+            assert done == (1 << p + 1) - 1, (p, bin(done))
+            taken.append(p)
+            return row(p, done)
+
+        return close(seed, spy, k)
+
+    monkeypatch.setattr(closure, "_close", spy_close)
+    for w in ALL_WEIGHTS:
+        for sample in random_arc_sets(w, 6, 40, 6, seed_base=500 + w):
+            assert ptolemy_closure(w, sample) == extension_closure_oracle(w, sample)
+    assert len(taken) > 1000
 
 
 @pytest.mark.parametrize("w", ALL_WEIGHTS)
@@ -153,6 +166,10 @@ def test_closure_budget_counts_the_closed_arcs():
     # a seed past the budget is refused before any pair is visited
     seed = list(arcs_in_window(0, 0, 53))
     assert len(seed) == 54 * 55 // 2 > closure._MAX_CLOSED_ARCS
+    pairs = []
+    with pytest.raises(TooLarge, match=str(MAX_VERDICT_PAIRS)):
+        closure._close_arcs(0, seed, lambda a, b: pairs.append((a, b)) or ())
+    assert pairs == []
     with pytest.raises(TooLarge, match=str(MAX_VERDICT_PAIRS)):
         ptolemy_closure(0, seed)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 import sphtor as s
 from sphtor.closure import MAX_CLOSED_SETS, _closed_sets
-from sphtor.orbit import _bits
+from sphtor.orbit import MAX_ROW_CELLS, _bits
 from sphtor import (
     IntervalObject,
     MDiagonal,
@@ -21,7 +21,7 @@ from sphtor import (
     db_translate_inv,
 )
 
-from conftest import plain_fixpoint, symmetric_rules, table_row
+from conftest import plain_fixpoint, spy_row, symmetric_rules, table_row
 
 SMALL = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (1, 3)]
 # every pair of these is checked against the derived route; (1, 2) and (1, 3)
@@ -327,19 +327,19 @@ dense_symmetric_rules = symmetric_rules(min_k=6, max_k=12, densities=(0.2, 0.4, 
 @settings(max_examples=200, deadline=None)
 def test_closed_sets_follow_next_closure(case):
     k, table = case
-    assert _closed_sets(k, table_row(table)) == list(_next_closure(k, table))
+    assert _closed_sets(k, spy_row(table, [])) == list(_next_closure(k, table))
 
 
 @given(dense_symmetric_rules)
 @settings(max_examples=100, deadline=None)
 def test_closed_sets_follow_next_closure_when_failures_are_inherited(case):
     k, table = case
-    assert _closed_sets(k, table_row(table)) == list(_next_closure(k, table))
+    assert _closed_sets(k, spy_row(table, [])) == list(_next_closure(k, table))
 
 
 def test_closed_sets_refuse_past_the_cap():
     # a rule that adds nothing closes all 2^17 subsets of 17 elements
-    nothing = lambda members, p, mask: 0
+    nothing = lambda x, done: 0
     assert sorted(_closed_sets(16, nothing)) == list(range(MAX_CLOSED_SETS))
     with pytest.raises(TooLarge, match=str(MAX_CLOSED_SETS)):
         _closed_sets(17, nothing)
@@ -369,6 +369,32 @@ def test_enumeration_guard_work_follows_sets_visited():
         cat.torsion_classes()
     assert time.process_time() - start < 2
     assert 0 < len(scans) == len(set(scans)) < len(cat.objects)
+
+
+def test_runaway_closure_is_refused_by_the_row_budget():
+    # 120 degree-0 and degree-1 simples close to all 5430 objects: up to 2 * 5430^2 Hom cells
+    cat = OrbitCategory(60, 3)
+    seed = [IntervalObject(d, i, i) for d in (0, 1) for i in range(1, 61)]
+    start = time.process_time()
+    with pytest.raises(TooLarge, match=str(MAX_ROW_CELLS)):
+        cat.closure(seed)
+    assert time.process_time() - start < 5
+    assert len(cat._rows) * len(cat.objects) <= MAX_ROW_CELLS
+    # the budget ends with the call: a point query may still scan a new row
+    fresh = next(i for i in range(len(cat.objects)) if (i, False) not in cat._rows)
+    assert cat.hom_dim(cat.objects[fresh], cat.objects[fresh]) == 1
+
+
+def test_row_budget_is_charged_per_call():
+    # 1521 objects: the frames of all of them read all 2 * 1521 rows, past the budget
+    cat = OrbitCategory(39, 2)
+    assert 2 * len(cat.objects) ** 2 > MAX_ROW_CELLS
+    for a in cat.objects:
+        cat.frames(a)
+    assert len(cat._rows) == 2 * len(cat.objects)
+    # a closure scans no cached row, so point queries before it cost it nothing
+    seed = [IntervalObject(0, i, i) for i in range(1, 40)]
+    assert cat.closure(seed) == OrbitCategory(39, 2).closure(seed)
 
 
 @pytest.mark.parametrize("n,m", SWEEP)
