@@ -220,6 +220,10 @@ def _torsion(args):
 def _t1_classify(args):
     if args.infile:
         desc = _read_document(args.infile, T1Descriptor.from_json_dict)
+        if desc.pattern != args.pattern:
+            raise UsageError(
+                f"--pattern {args.pattern}, but the document's pattern is {desc.pattern}"
+            )
     elif args.pattern == "upper":
         if args.n is None:
             raise UsageError("upper pattern requires --n")

@@ -229,22 +229,6 @@ def _key_vertex(b: Arc, side: HammockSide) -> int:
     return b.t if side is HammockSide.FORWARD else b.u
 
 
-def _exray_leq(a: Arc, b1: Arc, b2: Arc) -> bool:
-    """Total order on extended rays inside the Ext-hammock of ``a``.
-
-    Comparison is by a nonnegative translate power carrying one mouth anchor
-    to the other (through the Serre twist when the sides differ), which at
-    arc level is a divisibility-and-sign test on the two key vertices.
-    """
-    require_same_weight(a, b1)
-    require_same_weight(a, b2)
-    d = translation_step(a.w)
-    k1 = _key_vertex(b1, _side_for_order(a, b1))
-    k2 = _key_vertex(b2, _side_for_order(a, b2))
-    diff = k2 - k1
-    return diff % d == 0 and diff // d >= 0
-
-
 class MultiExtensionOutcome(NamedTuple):
     """One possible middle multiset of a multi-term extension.
 
@@ -343,34 +327,3 @@ def _sorted_by_exray(a: Arc, arcs_list: Sequence[Arc]) -> List[Arc]:
     d = translation_step(a.w)
     sign = 1 if d > 0 else -1
     return sorted(arcs_list, key=lambda b: sign * _key_vertex(b, _side_for_order(a, b)))
-
-
-def _middle_term_multi_by_iteration(a: Arc, bs: Sequence[Arc]) -> Tuple[Arc, ...]:
-    """Independent route to the multi-extension middle: iterated pair splicing.
-
-    Starting from the two-term calculus for the least term, each further term
-    replaces the running coray-side summand with the middle of its own
-    extension against that summand.  Used as the differential oracle for
-    :func:`middle_term_multi`; inputs must be Hom-orthogonal non-suspension
-    terms.
-    """
-    ordered = _sorted_by_exray(a, list(bs))
-    first = ordered[0]
-    current: List[Arc] = list(middle_terms(a, first)[0].middles)
-
-    def coray_summand(b: Arc) -> Optional[Arc]:
-        side = _side_for_order(a, b)
-        if side is HammockSide.FORWARD:
-            return _keep(a.w, b.t, a.u)
-        return _keep(a.w, b.u, a.u)
-
-    prev = coray_summand(first)
-    for b in ordered[1:]:
-        if prev is None:
-            current.append(b)
-        else:
-            step = middle_terms(prev, b)
-            current.remove(prev)
-            current.extend(step[0].middles)
-        prev = coray_summand(b)
-    return tuple(sorted(current))

@@ -102,20 +102,6 @@ def _ext_nonzero_ints(w: int, at: int, au: int, bt: int, bu: int) -> bool:
     return _hom_nonzero_ints(w, bt, bu, at - 1, au - 1)
 
 
-def _in_forward_hom(a: Arc, b: Arc) -> bool:
-    """True iff b lies in the forward Hom-hammock of a (same weight assumed)."""
-    d = translation_step(a.w)
-    ca, cb = to_coord(a), to_coord(b)
-    return _forward_hom_ints(d, ca.shift, ca.level, cb.shift, cb.level)
-
-
-def _in_backward_hom(a: Arc, b: Arc) -> bool:
-    """True iff b lies in the backward Hom-hammock of a."""
-    d = translation_step(a.w)
-    ca, cb = to_coord(a), to_coord(b)
-    return _backward_hom_ints(d, ca.shift, ca.level, cb.shift, cb.level)
-
-
 def hom_dim(a: Arc, b: Arc) -> int:
     """dim Hom(a, b); one-dimensional on the hammocks, two only at w=0, b=a."""
     w = require_same_weight(a, b)
@@ -130,11 +116,6 @@ def ext_dim(b: Arc, a: Arc) -> int:
     return hom_dim(b, suspend(a))
 
 
-def _incidences(b: Arc) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    # (vertex, other endpoint) for both readings of b; identical for loops.
-    return ((b.t, b.u), (b.u, b.t))
-
-
 def in_forward_ext(a: Arc, b: Arc) -> bool:
     """Partial-fountain test for b in the forward Ext-hammock of a.
 
@@ -143,16 +124,6 @@ def in_forward_ext(a: Arc, b: Arc) -> bool:
     """
     translation_step(a.w)
     return _forward_ext_ints(a.w, a.t, a.u, b.t, b.u)
-
-
-def _in_backward_ext(a: Arc, b: Arc) -> bool:
-    """Partial-fountain test for b in the backward Ext-hammock of a."""
-    threshold = a.t - 1
-    return any(
-        _in_interior_ints(a.w, a.t, a.u, v, False)
-        and (other <= threshold if a.w >= 2 else other >= threshold)
-        for v, other in _incidences(b)
-    )
 
 
 def hammock_side(b: Arc, a: Arc) -> HammockSide:

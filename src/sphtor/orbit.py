@@ -14,22 +14,24 @@ weight w = 1 - m, and ``_lift`` places a pair on that line with no contact
 across the cut.  There is one index space: the objects are sorted by the
 diagonal each lies on, so object i lies on ``diagonals[i]``, the i-th
 diagonal in sorted order.  On objects, Hom is decided once per object:
-``_row`` scans the objects by the derived rule and caches the targets (or
-sources) as a bitmask over their indices; a closure or an enumeration is
-refused once its new rows pass ``MAX_ROW_CELLS`` scanned cells.  ``hom_dim``
-reads one bit of a row.  The translate tau is an autoequivalence, so
-Ext^1(j, i) = Hom(i, tau j) = Hom(tau^-1 i, j): the whole Ext row of i is
-the Hom row of tau^-1 i, and ``ext_dim`` reads one bit of it.  ``_frame``
-keeps, per object, its two Ext rows and its starting and ending frames, each
-a mask of Hom rows.  The middles of an extension are the starting frame of
-one object met with the ending frame of the other, so ``_e_row(i, done)``
-pairs object i with the members the closure loop has already taken, i
-included: it meets its frames with the other frames of the members its Ext
-rows hit.  Torsion classes are the sets closed under middle terms, and
-``_e_row`` is the row of the closure module's one loop: ``closure`` closes
-one seed with ``_close``, and ``torsion_classes`` lists every closed set
-with ``_closed_sets`` (lazy FCbO) as bitmasks over the same indices, which
-byte tables of sorted diagonal tuples turn into classes.
+``_row`` scans the objects by the derived rule and caches the targets as a
+bitmask over their indices; a closure or an enumeration is refused once its
+new rows pass ``MAX_ROW_CELLS`` scanned cells.  The category is
+(1-m)-Calabi-Yau, its Serre functor is suspension^(1-m), and the suspension
+rotates diagonals by +1, so every other row is the row of a suspension: the
+sources of i are the targets of suspension^(m-1) i, and the j with
+Ext^1(j, i) nonzero are the targets of suspension^m i.  ``hom_dim`` and
+``ext_dim`` read one bit of a row.  ``_frame`` keeps, per object, its two
+Ext rows and its starting and ending frames, each a mask of Hom rows.  The
+middles of an extension are the starting frame of one object met with the
+ending frame of the other, so ``_e_row(i, done)`` pairs object i with the
+members the closure loop has already taken, i included: it meets its frames
+with the other frames of the members its Ext rows hit.  Torsion classes are
+the sets closed under middle terms, and ``_e_row`` is the row of the closure
+module's one loop: ``closure`` closes one seed with ``_close``, and
+``torsion_classes`` lists every closed set with ``_closed_sets`` (lazy FCbO)
+as bitmasks over the same indices, which byte tables of sorted diagonal
+tuples turn into classes.
 """
 
 from __future__ import annotations
@@ -140,12 +142,7 @@ class OrbitCategory:
         )
         self._index: Dict[IntervalObject, int] = {x: i for i, x in enumerate(self.objects)}
         self._rank: Dict[MDiagonal, int] = {d: i for i, d in enumerate(self.diagonals)}
-        # the translate on indices; tau lands in the domain, so every image is an object
-        self._tau: List[int] = [self._index[self.tau(x)] for x in self.objects]
-        self._tau_inv: List[int] = [0] * len(self.objects)
-        for i, t in enumerate(self._tau):
-            self._tau_inv[t] = i
-        self._rows: Dict[Tuple[int, bool], int] = {}
+        self._rows: Dict[int, int] = {}
         self._row_start: Optional[int] = None  # rows cached when a budgeted call began
         self._frames: List[Optional[Tuple[int, int, int, int]]] = [None] * len(self.objects)
         self._validate([d for d, _ in placed])
@@ -182,7 +179,7 @@ class OrbitCategory:
         for i, x in enumerate(self.objects):
             if self.rotate(self.diagonals[i], 1) != self.to_diagonal(self.sigma(x)):
                 raise ValidationFailure(f"suspension equivariance fails at {x}")
-            if self.rotate(self.diagonals[i], -self.m) != self.diagonals[self._tau[i]]:
+            if self.rotate(self.diagonals[i], -self.m) != self.to_diagonal(self.tau(x)):
                 raise ValidationFailure(f"translate equivariance fails at {x}")
 
     # -- normal forms and functors --------------------------------------------
@@ -224,18 +221,19 @@ class OrbitCategory:
 
     # -- hom and ext: one cached row per object ----------------------------------
 
-    def _row(self, i: int, into: bool) -> int:
-        """The objects object i maps to, or with ``into`` those mapping to it, as a bitmask.
+    def _row(self, i: int) -> int:
+        """The objects object i maps to, as a bitmask over indices.
 
         Orbit Hom is the derived Hom into the orbit-functor twists k = 0 and
         1 (the others vanish).  F is an autoequivalence of the derived
         category, so Hom(a, F b) = Hom(F^-1 a, b), and one scan of
-        ``self.objects`` twists a alone.  Cached; the only caller of
+        ``self.objects`` twists a alone.  Every other row is the row of a
+        suspension (see ``_frame``).  Cached; the only caller of
         :func:`db_hom_dim`.  Inside ``_budgeted``, a scan that would take the
         rows cached since it began past ``MAX_ROW_CELLS`` cells, rows times
         objects, raises ``TooLarge``; point queries are not budgeted.
         """
-        row = self._rows.get((i, into))
+        row = self._rows.get(i)
         if row is None:
             if self._row_start is not None:
                 rows, k = len(self._rows) - self._row_start + 1, len(self.objects)
@@ -245,20 +243,20 @@ class OrbitCategory:
                         f"C_{self.m}(A_{self.n}) in one call: {rows} rows of {k} objects"
                     )
             a, n = self.objects[i], self.n
-            twist = self.orbit_shift(a, 1 if into else -1)
+            twist = self.orbit_shift(a, -1)
             row = 0
             for j, b in enumerate(self.objects):
-                if into:
-                    hit = db_hom_dim(n, b, a) or db_hom_dim(n, b, twist)
-                else:
-                    hit = db_hom_dim(n, a, b) or db_hom_dim(n, twist, b)
-                if hit:
+                if db_hom_dim(n, a, b) or db_hom_dim(n, twist, b):
                     row |= 1 << j
-            self._rows[i, into] = row
+            self._rows[i] = row
         return row
 
+    def _suspended(self, i: int, k: int) -> int:
+        """The index of the k-th suspension of object i: its diagonal rotated by k."""
+        return self._rank[self.rotate(self.diagonals[i], k)]
+
     def hom_dim(self, a: IntervalObject, b: IntervalObject) -> int:
-        """dim Hom(a, b): bit b of the row of a.
+        """dim Hom(a, b): bit b of ``_row`` of a, the targets of a.
 
         The bit is the whole dimension.  Hom(a, b) is the sum of the derived
         Homs from a into b and into F b = suspension^m tau b, and each needs
@@ -267,26 +265,35 @@ class OrbitCategory:
         b.lo = 1, with F b = M[b.hi, n]@(d_b + 1).  Then Hom(a, b) needs
         a.lo = 1, and Hom(a, F b) needs b.hi <= a.lo - 1 = 0, which fails.
         """
-        return self._row(self._idx(a), False) >> self._idx(b) & 1
+        return self._row(self._idx(a)) >> self._idx(b) & 1
 
     def ext_dim(self, b: IntervalObject, a: IntervalObject) -> int:
-        """dim Ext^1(b, a) = dim Hom(tau^-1 a, b): bit b of the row of tau^-1 a."""
-        return self._row(self._tau_inv[self._idx(a)], False) >> self._idx(b) & 1
+        """dim Ext^1(b, a) = dim Hom(suspension^m a, b): bit b of the row of suspension^m a.
+
+        Ext^1(b, a) = Hom(b, suspension a), dual to Hom(suspension a, S b) by
+        Serre duality, and S = suspension^(1-m).
+        """
+        return self._row(self._suspended(self._idx(a), self.m)) >> self._idx(b) & 1
 
     def _frame(self, i: int) -> Tuple[int, int, int, int]:
         """``(ext_out, ext_in, starts, ends)`` of object i as bitmasks over indices, cached.
 
-        ``ext_out`` holds the j with Ext^1(j, i) = Hom(tau^-1 i, j) nonzero,
-        ``ext_in`` the j with Ext^1(i, j) = Hom(j, tau i) nonzero.  The
-        starting frame keeps the targets of i with no extension by i, and the
-        ending frame the sources of i with no extension of i.
+        Every mask is read off the row of a suspension of i.  The Serre
+        functor is S = suspension^(1-m), so Hom(j, i) = D Hom(i, S j) =
+        D Hom(suspension^(m-1) i, j): the sources of i are the targets of
+        suspension^(m-1) i.  ``ext_out`` holds the j with Ext^1(j, i) =
+        Hom(suspension^m i, j) nonzero (see ``ext_dim``), ``ext_in`` the j
+        with Ext^1(i, j) = Hom(i, suspension j) = Hom(suspension^-1 i, j)
+        nonzero.  The starting frame keeps the targets of i with no extension
+        by i, and the ending frame the sources of i with no extension of i.
         """
         frame = self._frames[i]
         if frame is None:
-            ext_out = self._row(self._tau_inv[i], False)
-            ext_in = self._row(self._tau[i], True)
-            starts = self._row(i, False) & ~ext_out
-            ends = self._row(i, True) & ~ext_in
+            row, m = self._row, self.m
+            ext_out = row(self._suspended(i, m))
+            ext_in = row(self._suspended(i, -1))
+            starts = row(i) & ~ext_out
+            ends = row(self._suspended(i, m - 1)) & ~ext_in
             frame = self._frames[i] = (ext_out, ext_in, starts, ends)
         return frame
 
@@ -317,10 +324,6 @@ class OrbitCategory:
             pick ^= low
         return starts & to_ends | ends & to_starts
 
-    def _e_mask(self, i: int, j: int) -> int:
-        """The ``e_set`` of objects i and j as a bitmask."""
-        return self._e_row(i, 1 << j) & ~(1 << i | 1 << j)
-
     def _objects_in(self, mask: int) -> List[IntervalObject]:
         """The objects of a bitmask, in the order of ``self.objects`` (by diagonal)."""
         return [self.objects[j] for j in _bits(mask)]
@@ -340,7 +343,8 @@ class OrbitCategory:
 
     def e_set(self, a: IntervalObject, b: IntervalObject) -> FrozenSet[IntervalObject]:
         """Middle summands of the extensions in both directions, minus a and b."""
-        return frozenset(self._objects_in(self._e_mask(self._idx(a), self._idx(b))))
+        i, j = self._idx(a), self._idx(b)
+        return frozenset(self._objects_in(self._e_row(i, 1 << j) & ~(1 << i | 1 << j)))
 
     # -- polygon layer ----------------------------------------------------------
 

@@ -82,6 +82,13 @@ def t1_extensions(r: int, target: TubeObject) -> List[Tuple[TubeObject, ...]]:
 TubeContent = Union[str, FrozenSet[int]]  # "all" or an explicit level set
 
 
+def _level(value) -> int:
+    """A tube level of a JSON document; ValueError unless a nonnegative integer."""
+    if _json_int(value, "a tube level") < 0:
+        raise ValueError(f"a tube level must be nonnegative, got {value!r}")
+    return value
+
+
 class T1Descriptor(NamedTuple):
     """Finite presentation of an additive subcategory of the tube category.
 
@@ -115,11 +122,7 @@ class T1Descriptor(NamedTuple):
                 raise ValueError(f"tubes must be an object mapping shifts to levels, got {given!r}")
             tubes: Dict[int, TubeContent] = {}
             for shift, content in given.items():
-                tubes[int(shift)] = (
-                    "all"
-                    if content == "all"
-                    else frozenset(_json_int(x, "a tube level") for x in content)
-                )
+                tubes[int(shift)] = "all" if content == "all" else frozenset(map(_level, content))
             return cls("explicit", tubes=tubes)
         if pattern in ("empty", "all"):
             return cls(pattern)

@@ -275,6 +275,8 @@ BAD_INPUTS = {
                        "{tmp}/t1_tubes_list.json"), 64),
     "t1_tubes_null": (("t1", "classify", "--pattern", "explicit", "--in",
                        "{tmp}/t1_tubes_null.json"), 64),
+    "t1_negative_file_level": (("t1", "classify", "--pattern", "explicit", "--in",
+                                "{tmp}/t1_negative_level.json"), 64),
     "t1_negative_level": (("t1", "hom", "--a", "0,-1", "--b", "0,0"), 64),
     "render_non_diagonal": (("render", "--n", "3", "--m", "2", "--diagonals", "1,3"), 2),
     "render_mixed_options": (("render", "--n", "3", "--m", "2", "--diagonals", "1,2",
@@ -298,15 +300,20 @@ USAGE_PATHS = {
                                "usage error: explicit pattern requires --in FILE.json", ""),
     "t1_empty": (("t1", "classify", "--pattern", "empty"), 0, None, "trivial zero\n"),
     "t1_all": (("t1", "classify", "--pattern", "all"), 0, None, "trivial all\n"),
+    "t1_pattern_differs_from_file": (("t1", "classify", "--pattern", "empty", "--in",
+                                      "{tmp}/t1_all.json"), 64,
+                                     "usage error: --pattern empty, but the document's "
+                                     "pattern is all", ""),
     "t1_negative_r": (("t1", "extensions", "--r", "-1", "--target", "0,0"), 64,
                       "usage error: tube levels must be nonnegative, got --r -1", ""),
 }
 
 
 @pytest.mark.parametrize("name", sorted(USAGE_PATHS))
-def test_usage_paths(capsys, name):
+def test_usage_paths(tmp_path, capsys, name):
+    (tmp_path / "t1_all.json").write_text(json.dumps({"pattern": "all"}))
     words, expected, first_err, expected_out = USAGE_PATHS[name]
-    code, out, err = invoke(capsys, *words)
+    code, out, err = invoke(capsys, *(w.replace("{tmp}", str(tmp_path)) for w in words))
     assert code == expected and out == expected_out
     assert (err.splitlines() or [None])[0] == first_err
 
@@ -324,6 +331,7 @@ def test_bad_input_exit_code(tmp_path, capsys, name):
         "t1_float_level": {"w": 1, "pattern": "explicit", "tubes": {"0": [1.5]}},
         "t1_tubes_list": {"w": 1, "pattern": "explicit", "tubes": [1, 2]},
         "t1_tubes_null": {"w": 1, "pattern": "explicit", "tubes": None},
+        "t1_negative_level": {"pattern": "explicit", "tubes": {"1": [-1]}},
     }
     for stem, doc in documents.items():
         (tmp_path / f"{stem}.json").write_text(json.dumps(doc))

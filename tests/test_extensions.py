@@ -26,12 +26,12 @@ from sphtor import (
     suspend,
 )
 from sphtor.arcs import QuiverCoord, from_coord
-from sphtor.extensions import (
+
+from conftest import ALL_WEIGHTS
+from oracles import (
     _exray_leq as exray_leq,
     _middle_term_multi_by_iteration as middle_term_multi_by_iteration,
 )
-
-from conftest import ALL_WEIGHTS
 
 
 def middles_of(a, b):

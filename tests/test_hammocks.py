@@ -20,15 +20,14 @@ from sphtor import (
 )
 from sphtor.arcs import arcs_in_window
 from sphtor.closure import _closedness_margin
-from sphtor.hammocks import (
-    _hom_marks_ints,
-    _hom_nonzero_ints,
+from sphtor.hammocks import _hom_marks_ints, _hom_nonzero_ints
+
+from conftest import ALL_WEIGHTS
+from oracles import (
     _in_backward_ext as in_backward_ext,
     _in_backward_hom as in_backward_hom,
     _in_forward_hom as in_forward_hom,
 )
-
-from conftest import ALL_WEIGHTS
 
 
 def test_hom_examples():
