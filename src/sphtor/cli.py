@@ -224,6 +224,9 @@ def _t1_classify(args):
             raise UsageError(
                 f"--pattern {args.pattern}, but the document's pattern is {desc.pattern}"
             )
+        # --n is read only by the upper pattern, with or without --in
+        if desc.n is not None and args.n is not None and args.n != desc.n:
+            raise UsageError(f"--n {args.n}, but the document's n is {desc.n}")
     elif args.pattern == "upper":
         if args.n is None:
             raise UsageError("upper pattern requires --n")

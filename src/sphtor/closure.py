@@ -8,11 +8,13 @@ when the later of the two is taken.  It stops once the members are all of
 ``range(k)``.  A row is the only interface of the loop, and each route
 supplies its own.  ``_close`` closes one seed, and ``_closed_sets`` lists
 every closed set of ``range(k)`` by lazy FCbO, up to ``MAX_CLOSED_SETS``: it
-closes each child from its closed parent, all done, and leaves the loop at
-the canonicity test.  An orbit row
-(:meth:`sphtor.orbit.OrbitCategory._e_row`) pairs its member with the done
-mask from the cached Ext rows of the object; an arc row pairs it with the
-arcs up to it, which are the members done.
+closes each child from its closed parent, all done, with the first row
+inlined and the loop run only when that row adds a member, and leaves the
+loop at the canonicity test.  Its frames hold a candidate mask walked from
+the top bit, and a child with no candidate is listed without a frame.  An
+orbit row (:meth:`sphtor.orbit.OrbitCategory._e_row`) ORs one cached pair
+cell per partner of its member in the done mask; an arc row pairs it with
+the arcs up to it, which are the members done.
 The arc closures feed their row the integer pair kernels of
 :mod:`sphtor.extensions` (connector arcs, or the middle summands of both
 extensions), once the weights are checked, and intern arcs as ints in
@@ -92,45 +94,56 @@ def _closed_sets(k: int, row: _Row) -> List[int]:
     Lazy FCbO (Outrata & Vychodil 2012).  The children of a closed set A,
     found by adding i, are the closures of A plus i for i above the index
     that produced A, kept when nothing below i joins (the canonicity test).
-    ``_grow`` closes a child with A as the members already taken, so only
-    the rows of its new members are read, and stops at the first member
-    below i.  Children are closed one at a time in descending i, depth
-    first, which is lectic order: an explicit stack holds one frame ``[mask,
-    next i, last, failed]`` per closed set on the current path, and a frame
-    resumes at its next i once the child it pushed is done.
+    A child's first step is inlined: ``row(i, A + i)``, and ``_grow`` runs
+    only when that row adds a member other than i, with A plus i as the
+    members already taken, so only the rows of new members are read, and it
+    stops at the first member below i.  Children are closed one at a time in
+    descending i, depth first, which is lectic order.  A frame is ``(mask,
+    candidates, failed)``: the candidates are the indices above the one that
+    produced the mask and outside it, as a mask walked from the top bit
+    down.  The current frame lives in locals and is pushed onto a stack of
+    its ancestors only when the loop descends into a child; a child with no
+    candidate (a leaf) is listed without a frame.
     A failed test at i keeps the mask closed so far as ``failed[i]``, and
     the descendants inherit it: they contain A, so their child at i closes
     over that mask too, and they skip it unless they hold every member of it
     below i.  ``failed[i]`` lies in the closure of A plus i, since a row
     reads only members taken.  Every sibling above i is tried before the
     child at i descends, which only tries indices above i, so laziness
-    loses none of FCbO's pruning.  ``failed`` is a dict copied per frame,
+    loses none of FCbO's pruning.  ``failed`` is a dict copied on descent,
     so a copy costs the failures, not k.
     Raises ``TooLarge`` rather than list more than ``MAX_CLOSED_SETS``.
     """
     full = (1 << k) - 1
     out = [0]
-    stack: List[list] = [[0, k - 1, -1, {}]]
-    while stack:
-        frame = stack[-1]
-        mask, i, last, failed = frame
-        while i > last:
+    stack: List[Tuple[int, int, Dict[int, int]]] = []
+    mask, candidates, failed = 0, full, {}
+    while True:
+        while candidates:
+            i = candidates.bit_length() - 1
             bit = 1 << i
-            if not mask & bit and not (i in failed and failed[i] & ~mask & (bit - 1)):
-                child = _grow(mask, mask | bit, row, full, bit - 1)
-                if not child & ~mask & (bit - 1):
-                    break
-                failed[i] = child
-            i -= 1
-        else:
-            stack.pop()
-            continue
-        frame[1] = i - 1
-        if len(out) == MAX_CLOSED_SETS:
-            raise TooLarge(f"refusing to list more than {MAX_CLOSED_SETS} closed sets")
-        out.append(child)
-        stack.append([child, k - 1, i, failed.copy()])
-    return out
+            candidates ^= bit
+            below = bit - 1
+            if failed.get(i, 0) & ~mask & below:
+                continue
+            done = mask | bit
+            child = done | row(i, done)
+            if child != done:
+                if not child & ~mask & below:
+                    child = _grow(done, child, row, full, below)
+                if child & ~mask & below:
+                    failed[i] = child
+                    continue
+            if len(out) == MAX_CLOSED_SETS:
+                raise TooLarge(f"refusing to list more than {MAX_CLOSED_SETS} closed sets")
+            out.append(child)
+            above = ~child & full & -(bit << 1)
+            if above:
+                stack.append((mask, candidates, failed))
+                mask, candidates, failed = child, above, failed.copy()
+        if not stack:
+            return out
+        mask, candidates, failed = stack.pop()
 
 
 def _weighted(w: int, arcs_in: Iterable[Arc]) -> Set[Arc]:

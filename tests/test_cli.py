@@ -304,6 +304,9 @@ USAGE_PATHS = {
                                       "{tmp}/t1_all.json"), 64,
                                      "usage error: --pattern empty, but the document's "
                                      "pattern is all", ""),
+    "t1_n_differs_from_file": (("t1", "classify", "--pattern", "upper", "--n", "5", "--in",
+                                "{tmp}/t1_upper.json"), 64,
+                               "usage error: --n 5, but the document's n is 2", ""),
     "t1_negative_r": (("t1", "extensions", "--r", "-1", "--target", "0,0"), 64,
                       "usage error: tube levels must be nonnegative, got --r -1", ""),
 }
@@ -312,6 +315,7 @@ USAGE_PATHS = {
 @pytest.mark.parametrize("name", sorted(USAGE_PATHS))
 def test_usage_paths(tmp_path, capsys, name):
     (tmp_path / "t1_all.json").write_text(json.dumps({"pattern": "all"}))
+    (tmp_path / "t1_upper.json").write_text(json.dumps({"pattern": "upper", "n": 2}))
     words, expected, first_err, expected_out = USAGE_PATHS[name]
     code, out, err = invoke(capsys, *(w.replace("{tmp}", str(tmp_path)) for w in words))
     assert code == expected and out == expected_out

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -21,7 +22,7 @@ from sphtor import (
     db_translate_inv,
 )
 
-from conftest import plain_fixpoint, spy_row, symmetric_rules, table_row
+from conftest import plain_fixpoint, seeded_symmetric_rules, spy_row, symmetric_rules, table_row
 
 SMALL = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (1, 3)]
 # every pair of these is checked against the derived route; (1, 2) and (1, 3)
@@ -321,10 +322,14 @@ def _next_closure(k, table):
 # big and dense enough that canonicity fails below the root, so the failures
 # the descendants inherit prune children
 dense_symmetric_rules = symmetric_rules(min_k=6, max_k=12, densities=(0.2, 0.4, 0.6))
+# masks wider than a byte, so candidates are walked and leaves skipped above
+# bit 8; these densities keep a case to a few thousand closed sets, far
+# under the cap
+wide_symmetric_rules = seeded_symmetric_rules(min_k=13, max_k=20, densities=(0.2, 0.3, 0.4))
 
 
-@given(symmetric_rules())
-@settings(max_examples=200, deadline=None)
+@given(symmetric_rules() | wide_symmetric_rules)
+@settings(max_examples=300, deadline=None)
 def test_closed_sets_follow_next_closure(case):
     k, table = case
     assert _closed_sets(k, spy_row(table, [])) == list(_next_closure(k, table))
@@ -427,6 +432,27 @@ def test_sources_are_the_targets_of_a_suspension(n, m):
             if db_hom_dim(n, b, a) or db_hom_dim(n, b, twist)
         )
         assert cat._row(cat._suspended(i, m - 1)) == sources, a
+
+
+@pytest.mark.parametrize("n,m", SWEEP)
+def test_e_row_is_the_union_of_its_pair_cells(n, m):
+    # the row of i with a set is the OR of its rows with one member each, and
+    # the meet of i's frames with the other frames of the members stays the reference
+    cat, single = OrbitCategory(n, m), OrbitCategory(n, m)
+    k = len(cat.objects)
+    rng = random.Random(k)
+    for i in range(k):
+        ext_out, ext_in, starts, ends, _ = cat._frame(i)
+        for _ in range(3):
+            done = rng.getrandbits(k) | 1 << i
+            union = to_ends = to_starts = 0
+            for j in _bits(done):
+                union |= single._e_row(i, 1 << j)
+                if ext_out >> j & 1:
+                    to_ends |= cat._frame(j)[3]
+                if ext_in >> j & 1:
+                    to_starts |= cat._frame(j)[2]
+            assert cat._e_row(i, done) == union == starts & to_ends | ends & to_starts
 
 
 def _subset_scan(cat):
