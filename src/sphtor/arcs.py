@@ -114,19 +114,13 @@ def serre(a: Arc, k: int = 1) -> Arc:
     return Arc(a.t - k * a.w, a.u - k * a.w, a.w)
 
 
-_FUNCTORS = {
-    "suspend": suspend,
-    "sigma": suspend,
-    "translate": translate,
-    "tau": translate,
-    "serre": serre,
-}
+_FUNCTORS = {"suspend": suspend, "tau": translate, "serre": serre}
 
 
 def apply_functor(name: str, k: int, a: Arc) -> Arc:
-    """Apply a named functor power to an arc (CLI entry point)."""
+    """Apply a named functor power to an arc (CLI entry point): ``suspend``, ``tau`` or ``serre``."""
     try:
-        fn = _FUNCTORS[name.lower()]
+        fn = _FUNCTORS[name]
     except KeyError:
         raise ValueError(f"unknown functor {name!r}; expected suspend/tau/serre") from None
     return fn(a, k)

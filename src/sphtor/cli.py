@@ -34,7 +34,7 @@ from . import (
     t1_hom_dim,
 )
 from .closure import DEFAULT_WINDOW
-from .orbit import MDiagonal, OrbitCategory
+from .orbit import MDiagonal, OrbitCategory, _check_diagonal, _check_params
 from .render import _polygon_vertices, svg_arc_diagram, svg_polygon_diagram
 from .tube import TubeObject
 
@@ -312,10 +312,10 @@ def _render(args):
         if None in polygon:
             raise UsageError("polygon rendering requires --n, --m and --diagonals")
         diagonals = _diag_list(args.diagonals)
-        _polygon_vertices(args.n, args.m)  # TooLarge before the category is built
-        cat = OrbitCategory(args.n, args.m)
+        _polygon_vertices(args.n, args.m)
+        _check_params(args.n, args.m)
         for d in diagonals:
-            cat.from_diagonal(d)  # ParamsMismatch unless d is an m-diagonal
+            _check_diagonal(args.n, args.m, d)  # no category: its objects may pass MAX_OBJECTS
         return svg_polygon_diagram(args.n, args.m, diagonals), None
     if args.w is None or args.arcs is None:
         raise UsageError("arc rendering requires --w and --arcs")

@@ -8,10 +8,11 @@ when the later of the two is taken.  It stops once the members are all of
 ``range(k)``.  A row is the only interface of the loop, and each route
 supplies its own.  ``_close`` closes one seed, and ``_closed_sets`` lists
 every closed set of ``range(k)`` by lazy FCbO, up to ``MAX_CLOSED_SETS``: it
-closes each child from its closed parent, all done, with the first row
-inlined and the loop run only when that row adds a member, and leaves the
-loop at the canonicity test.  Its frames hold a candidate mask walked from
-the top bit, and a child with no candidate is listed without a frame.  An
+closes each child completely from its closed parent, all done, with the
+first row inlined and the loop run only when that row adds a member, and
+keeps the closure of a child that fails the canonicity test as a failure
+its descendants inherit.  Its frames hold a candidate mask walked from the
+top bit, and a child with no candidate is listed without a frame.  An
 orbit row (:meth:`sphtor.orbit.OrbitCategory._e_row`) ORs one cached pair
 cell per partner of its member in the done mask; an arc row pairs it with
 the arcs up to it, which are the members done.
@@ -56,7 +57,7 @@ _MAX_CLOSED_ARCS = (isqrt(8 * MAX_VERDICT_PAIRS + 1) - 1) // 2  # most A with A(
 _Row = Callable[[int, int], int]
 
 
-def _grow(done: int, mask: int, row: _Row, full: int, below: int = 0) -> int:
+def _grow(done: int, mask: int, row: _Row, full: int) -> int:
     """Close ``mask``, given the members ``done`` already taken, and return the closed mask.
 
     The one pair loop of every finite closure, on bitsets over ``range(k)``:
@@ -64,10 +65,7 @@ def _grow(done: int, mask: int, row: _Row, full: int, below: int = 0) -> int:
     step takes the lowest member x of ``mask`` not yet done, adds it to
     ``done`` and ORs in ``row(x, done)``, so each pair is met when the later
     of its two members is taken.  The loop stops once ``mask`` is ``full``,
-    all of ``range(k)``, when no remaining pair can add a member.  With
-    ``below``, it returns at the first new bit of ``below``, and that mask is
-    not closed (the canonicity exit of ``_closed_sets``), but it lies in the
-    closure.
+    all of ``range(k)``, when no remaining pair can add a member.
     """
     while mask != full:
         waiting = mask ^ done
@@ -75,11 +73,7 @@ def _grow(done: int, mask: int, row: _Row, full: int, below: int = 0) -> int:
             break
         low = waiting & -waiting
         done |= low
-        grown = mask | row(low.bit_length() - 1, done)
-        if grown != mask:
-            new, mask = grown ^ mask, grown
-            if new & below:
-                break
+        mask |= row(low.bit_length() - 1, done)
     return mask
 
 
@@ -94,24 +88,23 @@ def _closed_sets(k: int, row: _Row) -> List[int]:
     Lazy FCbO (Outrata & Vychodil 2012).  The children of a closed set A,
     found by adding i, are the closures of A plus i for i above the index
     that produced A, kept when nothing below i joins (the canonicity test).
-    A child's first step is inlined: ``row(i, A + i)``, and ``_grow`` runs
-    only when that row adds a member other than i, with A plus i as the
-    members already taken, so only the rows of new members are read, and it
-    stops at the first member below i.  Children are closed one at a time in
-    descending i, depth first, which is lectic order.  A frame is ``(mask,
-    candidates, failed)``: the candidates are the indices above the one that
-    produced the mask and outside it, as a mask walked from the top bit
-    down.  The current frame lives in locals and is pushed onto a stack of
-    its ancestors only when the loop descends into a child; a child with no
-    candidate (a leaf) is listed without a frame.
-    A failed test at i keeps the mask closed so far as ``failed[i]``, and
-    the descendants inherit it: they contain A, so their child at i closes
-    over that mask too, and they skip it unless they hold every member of it
-    below i.  ``failed[i]`` lies in the closure of A plus i, since a row
-    reads only members taken.  Every sibling above i is tried before the
-    child at i descends, which only tries indices above i, so laziness
-    loses none of FCbO's pruning.  ``failed`` is a dict copied on descent,
-    so a copy costs the failures, not k.
+    A child's first step is inlined: ``row(i, A + i)``, and ``_grow`` closes
+    it only when that row adds a member other than i, with A plus i as the
+    members already taken, so only the rows of new members are read.
+    Children are closed one at a time in descending i, depth first, which
+    is lectic order.  A frame is ``(mask, candidates, failed)``: the
+    candidates are the indices above the one that produced the mask and
+    outside it, as a mask walked from the top bit down.  The current frame
+    lives in locals and is pushed onto a stack of its ancestors only when
+    the loop descends into a child; a child with no candidate (a leaf) is
+    listed without a frame.
+    A failed test at i keeps the closure of A plus i as ``failed[i]``, and
+    the descendants inherit it: they contain A, so their child at i
+    contains that closure, and they skip it unless they hold every member of
+    it below i.  Every sibling above i is tried before the child at i
+    descends, which only tries indices above i, so laziness loses none of
+    FCbO's pruning.  ``failed`` is a dict copied on descent, so a copy
+    costs the failures, not k.
     Raises ``TooLarge`` rather than list more than ``MAX_CLOSED_SETS``.
     """
     full = (1 << k) - 1
@@ -129,8 +122,7 @@ def _closed_sets(k: int, row: _Row) -> List[int]:
             done = mask | bit
             child = done | row(i, done)
             if child != done:
-                if not child & ~mask & below:
-                    child = _grow(done, child, row, full, below)
+                child = _grow(done, child, row, full)
                 if child & ~mask & below:
                     failed[i] = child
                     continue

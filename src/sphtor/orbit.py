@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
-from .arcs import _crossing_ints, arcs_in_window
+from .arcs import _crossing_ints, arcs_in_window, is_admissible
 from .closure import _close, _closed_sets
 from .errors import NoExtension, ParamsMismatch, TooLarge, ValidationFailure
 from .extensions import _connectors_ints
@@ -105,6 +105,25 @@ def db_translate_inv(n: int, x: IntervalObject) -> IntervalObject:
     return IntervalObject(x.degree + 1, 1, x.lo)
 
 
+def _check_params(n: int, m: int) -> None:
+    """Raise ``ValidationFailure`` unless n >= 1 and m >= 2."""
+    if n < 1:
+        raise ValidationFailure("need n >= 1")
+    if m < 2:
+        raise ValidationFailure("need m >= 2 (weight w = 1 - m <= -1)")
+
+
+def _check_diagonal(n: int, m: int, d: MDiagonal) -> None:
+    """Raise ``ParamsMismatch`` unless ``d`` is an m-diagonal of C_m(A_n), without building it.
+
+    The m-diagonals are the T_{1-m} arcs on the vertex line 1..N, the
+    predicate ``OrbitCategory.diagonals`` is listed by.
+    """
+    i, j = d
+    if not (1 <= i < j <= m * (n + 1) - 2 and is_admissible(1 - m, i, j)):
+        raise ParamsMismatch(f"{d} is not an m-diagonal for (n={n}, m={m})")
+
+
 def _bits(mask: int) -> List[int]:
     """The indices of the set bits of a mask, lowest first."""
     out = []
@@ -127,10 +146,7 @@ class OrbitCategory:
     """
 
     def __init__(self, n: int, m: int):
-        if n < 1:
-            raise ValidationFailure("need n >= 1")
-        if m < 2:
-            raise ValidationFailure("need m >= 2 (weight w = 1 - m <= -1)")
+        _check_params(n, m)
         count = m * n * (n + 1) // 2 - n
         if count > MAX_OBJECTS:
             raise TooLarge(f"refusing C_{m}(A_{n}): {count} objects, more than {MAX_OBJECTS}")
@@ -362,10 +378,9 @@ class OrbitCategory:
         return self.diagonals[self._idx(x)]
 
     def _rank_of(self, d: MDiagonal) -> int:
-        try:
-            return self._rank[d]
-        except KeyError:
-            raise ParamsMismatch(f"{d} is not an m-diagonal for (n={self.n}, m={self.m})") from None
+        if d not in self._rank:
+            _check_diagonal(self.n, self.m, d)  # raises: the ranks hold every m-diagonal
+        return self._rank[d]
 
     def from_diagonal(self, d: MDiagonal) -> IntervalObject:
         return self.objects[self._rank_of(d)]

@@ -73,6 +73,12 @@ def test_functor_examples():
     assert apply_functor("tau", 1, arc(2, 0, 3)) == arc(2, -1, 2)
 
 
+@pytest.mark.parametrize("name", ["sigma", "translate", "TAU", "Suspend"])
+def test_apply_functor_takes_only_the_cli_names(name):
+    with pytest.raises(ValueError, match="expected suspend/tau/serre"):
+        apply_functor(name, 1, arc(2, 0, 3))
+
+
 @given(admissible_arcs())
 def test_functor_algebra(a):
     w = a.w

@@ -371,6 +371,24 @@ def test_render_non_diagonal_matches_orbit_hom(capsys):
     assert code == 2 and render_err == hom_err
 
 
+def test_render_polygon_of_a_category_past_the_object_cap(tmp_path, capsys):
+    # C_2(A_300) has 90 000 objects, but its polygon has N = 2 * 301 - 2 = 600 vertices
+    assert 2 * 300 * 301 // 2 - 300 > MAX_OBJECTS and 2 * 301 - 2 <= MAX_TICKS
+    out_path = tmp_path / "polygon.svg"
+    start = time.process_time()
+    code, out, err = invoke(capsys, "render", "--n", "300", "--m", "2", "--diagonals", "1,4;2,597",
+                            "--out", str(out_path))
+    assert time.process_time() - start < 0.5
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text().count("</text>") == 600  # one label per vertex
+    # the chord and parameter checks of the category still apply, with its messages
+    for n, diagonals, message in (("300", "1,3", "error: {1,3} is not an m-diagonal for (n=300, m=2)"),
+                                  ("300", "1,599", "error: {1,599} is not an m-diagonal for (n=300, m=2)"),
+                                  ("0", "1,4", "error: need n >= 1")):
+        code, out, err = invoke(capsys, "render", "--n", n, "--m", "2", "--diagonals", diagonals)
+        assert (code, out, err.strip()) == (2, "", message)
+
+
 def test_parser_is_reused_without_carrying_state(capsys, monkeypatch):
     import sphtor.cli as cli
 

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphtor import (
@@ -29,7 +29,7 @@ from sphtor import (
 
 from sphtor.arcs import QuiverCoord, from_coord, suspend
 from sphtor import closure
-from sphtor.closure import MAX_VERDICT_PAIRS, _arcs_among, _close, _closedness_margin, _perp_sample
+from sphtor.closure import MAX_VERDICT_PAIRS, _arcs_among, _close, _closedness_margin, _grow, _perp_sample
 from sphtor.extensions import _both_middles, _connectors_ints
 from sphtor.hammocks import _hom_nonzero_ints
 
@@ -89,6 +89,22 @@ def test_close_is_the_plain_fixpoint(case, data):
     closed = _close(seed, spy_row(table, seen), k)
     assert closed == plain_fixpoint(sum(1 << x for x in seed), table)
     # the loop hands a row only members it has taken, never one outside the closure
+    assert all(not done & ~closed for done in seen)
+
+
+@given(symmetric_rules(min_k=1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_grow_resumes_from_a_closed_parent(case, data):
+    # _closed_sets closes a child from its closed parent A, all done, plus i
+    k, table = case
+    seed = data.draw(st.sets(st.integers(0, k - 1)))
+    parent = plain_fixpoint(sum(1 << x for x in seed), table)
+    outside = [x for x in range(k) if not parent >> x & 1]
+    assume(outside)
+    i = data.draw(st.sampled_from(outside))
+    seen = []
+    closed = _grow(parent, parent | 1 << i, spy_row(table, seen), (1 << k) - 1)
+    assert closed == plain_fixpoint(parent | 1 << i, table)
     assert all(not done & ~closed for done in seen)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 import sphtor as s
 from sphtor.closure import MAX_CLOSED_SETS, _closed_sets
-from sphtor.orbit import MAX_ROW_CELLS, _bits
+from sphtor.orbit import MAX_ROW_CELLS, _bits, _check_diagonal
 from sphtor import (
     IntervalObject,
     MDiagonal,
@@ -263,6 +263,20 @@ def test_params_mismatch_rejected():
         cat.hom_dim(IntervalObject(0, 1, 3), cat.objects[0])
     with pytest.raises(ParamsMismatch):
         cat.from_diagonal(MDiagonal(1, 3))
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 7) for m in range(2, 7)])
+def test_m_diagonals_are_decided_without_the_category(n, m):
+    cat = OrbitCategory(n, m)
+    passed = set()
+    for i in range(-1, cat.N + 3):
+        for j in range(-1, cat.N + 3):
+            try:
+                _check_diagonal(n, m, MDiagonal(i, j))
+                passed.add(MDiagonal(i, j))
+            except ParamsMismatch:
+                pass
+    assert passed == set(cat.diagonals)
 
 
 def test_closure_rejects_objects_of_other_parameters():
