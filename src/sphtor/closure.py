@@ -13,9 +13,9 @@ first row inlined and the loop run only when that row adds a member, and
 keeps the closure of a child that fails the canonicity test as a failure
 its descendants inherit.  Its frames hold a candidate mask walked from the
 top bit, and a child with no candidate is listed without a frame.  An
-orbit row (:meth:`sphtor.orbit.OrbitCategory._e_row`) ORs one cached pair
-cell per partner of its member in the done mask; an arc row pairs it with
-the arcs up to it, which are the members done.
+orbit row (:meth:`sphtor.orbit.OrbitCategory._e_row`) meets the frames of
+its member with the opposite frames of its partners in the done mask; an
+arc row pairs it with the arcs up to it, which are the members done.
 The arc closures feed their row the integer pair kernels of
 :mod:`sphtor.extensions` (connector arcs, or the middle summands of both
 extensions), once the weights are checked, and intern arcs as ints in

@@ -11,7 +11,7 @@ the routes on large windows is one of the package's acceptance gates.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .arcs import (
     Arc,
@@ -230,14 +230,13 @@ class CohomologyVector:
 
     __slots__ = ("_dims",)
 
-    def __init__(self, dims: Dict[int, int] | Iterable[Tuple[int, int]] = ()):
-        items = dims.items() if isinstance(dims, dict) else dims
+    def __init__(self, dims: Optional[Mapping[int, int]] = None):
         acc: Dict[int, int] = {}
-        for degree, dim in items:
+        for degree, dim in (dims or {}).items():
             if dim < 0:
                 raise ValueError("cohomology dimensions must be nonnegative")
             if dim:
-                acc[degree] = acc.get(degree, 0) + dim
+                acc[degree] = dim
         self._dims = acc
 
     def dim(self, degree: int) -> int:

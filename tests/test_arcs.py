@@ -65,6 +65,8 @@ def test_invalid_arc_rejected():
     for raw in (Arc(0, 1, 2), Arc(3, 0, -2)):  # too short; length off the step
         with pytest.raises(InvalidArc):
             to_coord(raw)
+    with pytest.raises(InvalidArc, match="level must be >= 0"):
+        from_coord(2, QuiverCoord(0, -1))
 
 
 def test_functor_examples():

@@ -195,8 +195,10 @@ def test_fountain_descriptor_validation():
         FountainDescriptor(0, FountainSide.RIGHT, 1) and DescriptorSet(
             2, [], [FountainDescriptor(0, FountainSide.RIGHT, 1)]
         )
-    with pytest.raises(InvalidArc):
+    with pytest.raises(InvalidArc, match="strictly left"):
         DescriptorSet(2, [], [FountainDescriptor(0, FountainSide.LEFT, 2)])
+    with pytest.raises(InvalidArc, match="strictly right"):
+        DescriptorSet(2, [], [FountainDescriptor(0, FountainSide.RIGHT, -2)])
     ds = DescriptorSet(2, [], [FountainDescriptor(0, FountainSide.RIGHT, 2)])
     members = ds.instantiate(-1, 6)
     assert members == {arc(2, 0, 2), arc(2, 0, 3), arc(2, 0, 4), arc(2, 0, 5), arc(2, 0, 6)}
@@ -206,6 +208,8 @@ def test_descriptor_drops_covered_arcs():
     f = FountainDescriptor(0, FountainSide.RIGHT, 2)
     ds = DescriptorSet(2, [arc(2, 0, 4), arc(2, 1, 3)], [f])
     assert ds.arcs == {arc(2, 1, 3)}
+    # an equal set built from other inputs hashes alike
+    assert len({ds, DescriptorSet(2, [arc(2, 1, 3)], [f])}) == 1
 
 
 def test_descriptor_json_round_trip():

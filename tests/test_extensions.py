@@ -224,6 +224,21 @@ def test_middle_cohomology_matches_summands(w, window_arcs):
             assert total == middle_cohomology(a, b, cls.side), (a, b, cls)
 
 
+@pytest.mark.parametrize("w", ALL_WEIGHTS)
+def test_middle_cohomology_refuses_the_other_side(w, window_arcs):
+    # a pair in one half of the Ext-hammock has no class on the other side
+    other = {HammockSide.FORWARD: HammockSide.BACKWARD, HammockSide.BACKWARD: HammockSide.FORWARD}
+    arcs = window_arcs(w, 8)
+    seen = set()
+    for a, b in itertools.product(arcs, repeat=2):
+        side = hammock_side(b, a) if ext_dim(b, a) else None
+        if side in other:
+            with pytest.raises(NoExtension, match="Ext-hammock"):
+                middle_cohomology(a, b, other[side])
+            seen.add(side)
+    assert seen == set(other)
+
+
 def test_exray_order_example_and_totality():
     a = arc(2, 0, 5)
     b_fwd, b_bwd = arc(2, 4, 6), arc(2, -2, 1)
@@ -271,6 +286,11 @@ def test_multi_duplicates_split_off():
     a, b = arc(2, 0, 3), arc(2, 1, 4)
     out = middle_term_multi(a, [b, b])
     assert out[0].middles == tuple(sorted([b, arc(2, 0, 4), arc(2, 1, 3)]))
+
+
+def test_multi_needs_a_last_term():
+    with pytest.raises(ValueError, match="at least one last term"):
+        middle_term_multi(arc(2, 0, 3), [])
 
 
 def test_multi_not_in_hammock():

@@ -157,3 +157,8 @@ def test_cohomology_vector_algebra():
     assert CohomologyVector().is_zero()
     with pytest.raises(ValueError):
         CohomologyVector({0: -1})
+    # zero dimensions drop out, so these two are equal and hash alike
+    assert len({v, CohomologyVector({0: 1, 1: 0, 2: 1})}) == 1
+    # a mapping only: degree, dimension pairs are not read
+    with pytest.raises(AttributeError):
+        CohomologyVector([(0, 1), (0, 2)])

@@ -450,13 +450,14 @@ def test_sources_are_the_targets_of_a_suspension(n, m):
 
 @pytest.mark.parametrize("n,m", SWEEP)
 def test_e_row_is_the_union_of_its_pair_cells(n, m):
-    # the row of i with a set is the OR of its rows with one member each, and
-    # the meet of i's frames with the other frames of the members stays the reference
+    # the row of i with a set is the OR of its pair cells (its rows with one
+    # member each, from a fresh category) and the meet of i's frames with the
+    # opposite frames of the members
     cat, single = OrbitCategory(n, m), OrbitCategory(n, m)
     k = len(cat.objects)
     rng = random.Random(k)
     for i in range(k):
-        ext_out, ext_in, starts, ends, _ = cat._frame(i)
+        ext_out, ext_in, starts, ends = cat._frame(i)
         for _ in range(3):
             done = rng.getrandbits(k) | 1 << i
             union = to_ends = to_starts = 0
