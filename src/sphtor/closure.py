@@ -30,10 +30,12 @@ exactly by a pair check on a bounded instantiation, and reports the perp
 sample of a torsion class by marking the members' Hom-hammocks on the window
 (``hammocks._hom_marks_ints``), one pass per member, not one test per window
 arc and member.  Both scans share one budget, an upper bound on their work
-counted from the window's admissible arcs.  ``symbolic_closure`` closes one
-on the same bounds and returns the result only when that check proves it
-closed; a closure that needs arcs past the span or new fountains has no
-descriptor set, and it raises ``TooLarge``.
+counted from the window's admissible arcs.  ``symbolic_closure`` needs no
+pair check: it closes the members on span ± M(w) to C, and the closed arcs
+inside the span with the fountains instantiate there to a subset of C that
+holds the members, so that set is closed exactly when it is C.  A closure
+that needs arcs past the span or new fountains has no descriptor set, and
+it raises ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from .extensions import _both_middles, _connectors_ints
 from .hammocks import _hom_marks_ints
 
 DEFAULT_WINDOW = 40
-MAX_CLOSED_SETS = 1 << 16  # caps output and memory at the 2^16 subsets of 16 objects
+# caps the number of sets listed (all 2^16 subsets of 16 objects), not their memory:
+# a mask takes k/8 bytes, so the (250, 2) refusal, k = 62 500, peaks near 570 MB
+MAX_CLOSED_SETS = 1 << 16
 MAX_VERDICT_PAIRS = 1 << 20  # pair budget of both verdict scans and of every finite closure
 _MAX_CLOSED_ARCS = (isqrt(8 * MAX_VERDICT_PAIRS + 1) - 1) // 2  # most A with A(A+1)/2 in budget
 
@@ -242,34 +246,32 @@ class FountainSide(Enum):
 
 
 class FountainDescriptor(NamedTuple):
-    """All admissible arcs at ``vertex`` on one side, from ``start`` outward."""
+    """All admissible arcs at ``vertex`` on one side, from ``start`` outward.
+
+    Their far ends form one progression, |w-1| apart, from ``start`` to the
+    right or to the left.
+    """
 
     vertex: int
     side: FountainSide
     start: int
 
+    @property
+    def _sign(self) -> int:
+        # the direction the far ends run: +1 right, -1 left
+        return 1 if self.side is FountainSide.RIGHT else -1
+
     def members(self, w: int, lo: int, hi: int) -> List[Arc]:
-        step = abs(translation_step(w))
-        out = []
-        if self.side is FountainSide.RIGHT:
-            other = self.start
-            while other <= hi:
-                out.append(arc(w, self.vertex, other))
-                other += step
-        else:
-            other = self.start
-            while other >= lo:
-                out.append(arc(w, self.vertex, other))
-                other -= step
-        return out
+        sign = self._sign
+        edge = hi if sign > 0 else lo
+        step = sign * abs(translation_step(w))
+        return [arc(w, self.vertex, other) for other in range(self.start, edge + sign, step)]
 
     def covers(self, w: int, x: Arc) -> bool:
         if self.vertex not in x.vertices or x.is_loop:
             return False
         other = x.u if x.t == self.vertex else x.t
-        if self.side is FountainSide.RIGHT:
-            return other >= self.start
-        return other <= self.start
+        return (other - self.start) * self._sign >= 0
 
 
 class DescriptorSet:
@@ -296,10 +298,9 @@ class DescriptorSet:
                     f"fountain at {f.vertex} starting at {f.start} generates no "
                     f"admissible arcs for w={w}"
                 )
-            if f.side is FountainSide.RIGHT and f.start <= f.vertex:
-                raise InvalidArc("right fountain must start strictly right of its vertex")
-            if f.side is FountainSide.LEFT and f.start >= f.vertex:
-                raise InvalidArc("left fountain must start strictly left of its vertex")
+            if (f.start - f.vertex) * f._sign <= 0:
+                side = f.side.value
+                raise InvalidArc(f"{side} fountain must start strictly {side} of its vertex")
             fset.add(f)
         aset = {a for a in _weighted(w, arcs_in) if not any(f.covers(w, a) for f in fset)}
         self.w = w
@@ -320,7 +321,8 @@ class DescriptorSet:
         """All presented arcs with both endpoints inside [lo, hi]."""
         out = {a for a in self.arcs if lo <= min(a.vertices) and max(a.vertices) <= hi}
         for f in self.fountains:
-            out.update(m for m in f.members(self.w, lo, hi) if lo <= f.vertex <= hi)
+            if lo <= f.vertex <= hi:
+                out.update(f.members(self.w, lo, hi))
         return frozenset(out)
 
     def __eq__(self, other: object) -> bool:
@@ -476,16 +478,20 @@ def _closedness_witness(ds: DescriptorSet, lo: int, hi: int):
 def symbolic_closure(ds: DescriptorSet) -> DescriptorSet:
     """The closure of a descriptor set, or ``TooLarge`` if no descriptor set presents it.
 
-    The members on span ± M(w) are closed with ``ptolemy_closure``, and the
-    closed arcs inside the span join the fountains of ``ds``.  That set
-    contains ``ds`` and lies in its closure, so when the exact pair check of
-    ``is_torsion_class`` finds no unclosed pair on span ± M(w), it is the
-    closure.  Otherwise the closure needs arcs past the span or new
-    fountains, and the message names the pair that shows it.
+    The members on span ± M(w) are closed with ``ptolemy_closure`` to C, and
+    the closed arcs inside the span join the fountains of ``ds``.  That set
+    contains ``ds`` and lies in its closure.  On span ± M(w) it instantiates
+    to a subset of C (its fountains are those of ``ds``) that holds every
+    member of ``ds`` there, so it is connector-closed there exactly when it
+    equals C, and then, by the margin argument of ``is_torsion_class``, it
+    is the closure.  Otherwise C holds an arc the set misses, past the span
+    (every arc of C inside it is kept or covered by a fountain), and the
+    message names the least one: the closure needs arcs past the span or
+    new fountains.
 
     Connectors never leave the seed's endpoints, so with A admissible arcs
-    on span ± M(w) (:func:`_arcs_on`), A(A+1)/2 bounds the pairs of both the
-    closure and the check.  Past ``MAX_VERDICT_PAIRS`` it raises
+    on span ± M(w) (:func:`_arcs_on`), A(A+1)/2 bounds the pairs of the
+    closure.  Past ``MAX_VERDICT_PAIRS`` it raises
     ``TooLarge`` before instantiating anything.  So the budget of
     ``ptolemy_closure`` never trips here: the closure has at most A arcs.
     """
@@ -502,11 +508,11 @@ def symbolic_closure(ds: DescriptorSet) -> DescriptorSet:
     closed = ptolemy_closure(ds.w, ds.instantiate(lo, hi))
     inside = (a for a in closed if lo0 <= min(a.vertices) and max(a.vertices) <= hi0)
     out = DescriptorSet(ds.w, inside, ds.fountains)
-    pair, missing = _closedness_witness(out, lo, hi)
-    if pair is not None:
+    past = closed - out.instantiate(lo, hi)
+    if past:
         raise TooLarge(
             f"the closure needs arcs past the span [{lo0}, {hi0}] or new fountains, which a "
-            f"descriptor set cannot present: {pair[0]} and {pair[1]} miss {missing}"
+            f"descriptor set cannot present: its closure on [{lo}, {hi}] holds {min(past)}"
         )
     return out
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -204,6 +205,20 @@ def test_fountain_descriptor_validation():
     assert members == {arc(2, 0, 2), arc(2, 0, 3), arc(2, 0, 4), arc(2, 0, 5), arc(2, 0, 6)}
 
 
+@pytest.mark.parametrize("w", ALL_WEIGHTS)
+def test_fountain_members_are_the_window_arcs_it_covers(w):
+    # starts near the vertex, at the window's edge and past it, on both sides
+    lo, hi = -7, 9
+    window = list(arcs_in_window(w, lo, hi))
+    lengths = [n for n in range(1, abs(w) + 3 * abs(w - 1) + 1) if is_admissible(w, 0, n)]
+    for v in (lo, 0, hi):
+        for n in lengths + [hi - lo - 1, hi - lo, hi - lo + 1]:
+            for side, start in ((FountainSide.RIGHT, v + n), (FountainSide.LEFT, v - n)):
+                f = FountainDescriptor(v, side, start)
+                if is_admissible(w, v, start):
+                    assert set(f.members(w, lo, hi)) == {b for b in window if f.covers(w, b)}, f
+
+
 def test_descriptor_drops_covered_arcs():
     f = FountainDescriptor(0, FountainSide.RIGHT, 2)
     ds = DescriptorSet(2, [arc(2, 0, 4), arc(2, 1, 3)], [f])
@@ -257,9 +272,15 @@ def test_symbolic_closure_grows_new_fountains():
         2, [arc(2, -2, 1)], [FountainDescriptor(0, FountainSide.RIGHT, 2)]
     )
     start = time.perf_counter()
-    with pytest.raises(TooLarge, match="new fountains"):
+    with pytest.raises(TooLarge, match="new fountains") as refusal:
         symbolic_closure(ds)
     assert time.perf_counter() - start < 2
+    # the arc the refusal names is closed on span ± M(w) and lies past the span
+    lo0, hi0 = ds.span()
+    margin = _closedness_margin(2)
+    t, u = map(int, re.search(r"holds \((-?\d+),(-?\d+)\)$", str(refusal.value)).groups())
+    assert arc(2, t, u) in ptolemy_closure(2, ds.instantiate(lo0 - margin, hi0 + margin))
+    assert not lo0 <= min(t, u) <= max(t, u) <= hi0
     finite = ptolemy_closure(2, ds.instantiate(-10, 12))
     assert {arc(2, -2, n) for n in range(3, 13)} | {arc(2, 1, n) for n in range(4, 13)} <= finite
     assert is_torsion_class(ds, window=4).verdict is Verdict.NOT_CLOSED
