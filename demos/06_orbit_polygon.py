@@ -33,12 +33,13 @@ print(f"infinity-gon (w=-1): Ext^1 both ways = "
       f"{sphtor.ext_dim(x, y)}, {sphtor.ext_dim(y, x)}")
 o1, o2 = cat.from_diagonal(MDiagonal(1, 2)), cat.from_diagonal(MDiagonal(5, 6))
 print(f"hexagon images {{1,2}}, {{5,6}}: Ext^1 = {cat.ext_dim(o1, o2)}")
-# they neighbour across 6 -- 1, a contact the line 1..6 cannot see; the lift
-# rotates the cut away (and reflects), and the w=-1 kernel sees the extension
-at, au, bt, bu, s = cat._lift(MDiagonal(1, 2), MDiagonal(5, 6))
-la, lb = sphtor.arc(-1, at, au), sphtor.arc(-1, bt, bu)
-print(f"lifted with s = {s}: {la}, {lb}; Ext^1 both ways = "
-      f"{sphtor.ext_dim(la, lb)}, {sphtor.ext_dim(lb, la)}")
+# they neighbour across the edge 6 -- 1; cut 0 opens the hexagon there and
+# hides that contact, cut 1 opens it at 1 -- 2, and the w=-1 kernel sees it
+for s in (0, 1):
+    la = sphtor.arc(-1, *cat._lift(MDiagonal(1, 2), s))
+    lb = sphtor.arc(-1, *cat._lift(MDiagonal(5, 6), s))
+    print(f"lifted at cut {s}: {la}, {lb}; Ext^1 both ways = "
+          f"{sphtor.ext_dim(la, lb)}, {sphtor.ext_dim(lb, la)}")
 
 print()
 print("=== closure and full torsion enumeration ===")

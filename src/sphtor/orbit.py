@@ -9,14 +9,16 @@ an N-gon, N = m(n+1) - 2, that cut it into pieces with vertex counts
 divisible by m.  The derived-category construction is authoritative; the
 bijection is checked at construction (it fails hard if the counts or the
 rotation equivariance do not come out).  On diagonals the relations are the
-T_{1-m} kernels on a lift: the m-diagonals are the arcs on the line 1..N at
-weight w = 1 - m, and ``_lift`` places a pair on that line with no contact
-across the cut.  There is one index space: the objects are sorted by the
-diagonal each lies on, so object i lies on ``diagonals[i]``, the i-th
-diagonal in sorted order.  On objects, Hom is decided once per object:
-``_row`` scans the objects by the derived rule and caches the targets as a
-bitmask over their indices; a closure or an enumeration is refused once its
-new rows pass ``MAX_ROW_CELLS`` scanned cells.  The category is
+T_{1-m} kernels read at two fixed cuts: the m-diagonals are the arcs on the
+line 1..N at weight w = 1 - m, ``_lift(d, s)`` places a diagonal on that line
+cut open at the polygon edge {s, s + 1}, and a cut hides only the contacts
+across its edge, so every contact of a pair shows at cut 0 or cut 1.  There
+is one index space: the objects are sorted by the diagonal each lies on, so
+object i lies on ``diagonals[i]``, the i-th diagonal in sorted order.  On
+objects, Hom is decided once per object: ``_row`` scans the objects by the
+derived rule and caches the targets as a bitmask over their indices; a
+closure or an enumeration is refused once its new rows pass
+``MAX_ROW_CELLS`` scanned cells.  The category is
 (1-m)-Calabi-Yau, its Serre functor is suspension^(1-m), and the suspension
 rotates diagonals by +1, so every other row is the row of a suspension: the
 sources of i are the targets of suspension^(m-1) i, and the j with
@@ -381,46 +383,44 @@ class OrbitCategory:
         i, j = self._wrap(d.i + k), self._wrap(d.j + k)
         return MDiagonal(min(i, j), max(i, j))
 
-    def _lift(self, da: MDiagonal, db: MDiagonal) -> Tuple[int, int, int, int, int]:
-        """The pair as T_{1-m} arcs ``(at, au, bt, bu)`` on the line 1..N, and ``s``.
+    def _lift(self, d: Tuple[int, int], s: int) -> Tuple[int, int]:
+        """The chord ``d`` as the T_{1-m} arc ``(t, u)`` on the line 1..N at cut ``s``.
 
         The map v -> (s - v) mod N + 1 is a rotation followed by a reflection
-        and its own inverse.  The reflection turns the rotation by +1 (the
-        suspension on diagonals) into the shift by -1 (the suspension on
-        arcs).  ``s`` is the least value that puts no endpoint of one chord
-        on 1 while the other has one on N, so no contact crosses the cut.
-        Three ordered pairs have none (the self-pair of the 2-gon, and the
-        crossing diameters of the square at m = 3); they take s = 0.
+        and its own inverse, so it also maps an arc back to its chord.  The
+        reflection turns the rotation by +1 (the suspension on diagonals)
+        into the shift by -1 (the suspension on arcs).  It sends vertex s
+        (N when s = 0) to 1 and vertex s + 1 to N, and keeps every other pair
+        of neighbours at distance 1, so the lift hides the contacts across
+        the polygon edge {s, s + 1} and no crossing.
         """
-        N = self.N
-        bad = set()  # s is a bad cut when s and s + 1 are endpoints of different chords
-        for x in da:
-            for y in db:
-                if (y - x) % N == 1:
-                    bad.add(x % N)
-                if (x - y) % N == 1:
-                    bad.add(y % N)
-        s = 0
-        while s in bad:
-            s += 1
-        s %= N  # s = N only when every cut is bad
-        ai, aj = (s - da.i) % N + 1, (s - da.j) % N + 1
-        bi, bj = (s - db.i) % N + 1, (s - db.j) % N + 1
-        return max(ai, aj), min(ai, aj), max(bi, bj), min(bi, bj), s
+        i, j = ((s - v) % self.N + 1 for v in d)
+        return max(i, j), min(i, j)
 
     def diagonal_hom_nonzero(self, da: MDiagonal, db: MDiagonal) -> bool:
-        """Hom on diagonals: the T_{1-m} Hom kernel on the lift (independent of db_hom_dim)."""
-        *ints, _ = self._lift(da, db)
-        return _hom_nonzero_ints(1 - self.m, *ints)
+        """Hom on diagonals: the T_{1-m} Hom kernel at cut 0 (independent of db_hom_dim).
+
+        The kernel gives the same answer at every cut.  Raises
+        ``ParamsMismatch`` unless both are m-diagonals, as do ``ptolemy`` and
+        ``diagonal_ext_nonzero``.
+        """
+        self._rank_of(da), self._rank_of(db)
+        return _hom_nonzero_ints(1 - self.m, *self._lift(da, 0), *self._lift(db, 0))
 
     def diagonal_ext_nonzero(self, db: MDiagonal, da: MDiagonal) -> bool:
-        """Ext^1(db, da) on diagonals: the T_{1-m} Ext kernel on the lift.
+        """Ext^1(db, da) on diagonals: the T_{1-m} Ext kernel at cut 0 or cut 1.
 
-        The rotation check catches the one contact a wrapped pair (no cut
-        free of contacts) leaves across the cut.
+        No cut over-reports, and a cut hides only the contacts across its
+        edge, so every extension but one shows at cut 0 or cut 1.
+        Ext^1(suspension da, da) is never zero, and the kernel reads it as a
+        shift of both ends by -1; for da = {1, N}, an m-diagonal at m = 2
+        only (the 2-gon's included), that shift crosses both hidden edges,
+        so the rotation clause answers it.
         """
-        *ints, _ = self._lift(da, db)
-        return db == self.rotate(da, 1) or _ext_arc_nonzero_ints(1 - self.m, *ints)
+        self._rank_of(da), self._rank_of(db)
+        return db == self.rotate(da, 1) or any(
+            _ext_arc_nonzero_ints(1 - self.m, *self._lift(da, s), *self._lift(db, s)) for s in (0, 1)
+        )
 
     def diagonals_cross(self, da: MDiagonal, db: MDiagonal) -> bool:
         # chords of a polygon labelled 1..N cross exactly when their endpoints
@@ -428,11 +428,18 @@ class OrbitCategory:
         return _crossing_ints(da.i, da.j, db.i, db.j)
 
     def ptolemy(self, da: MDiagonal, db: MDiagonal) -> FrozenSet[MDiagonal]:
-        """Connector diagonals of a pair: the T_{1-m} connectors of the lift, mapped back."""
-        *ints, s = self._lift(da, db)
-        back = lambda v: (s - v) % self.N + 1
-        connectors = _connectors_ints(1 - self.m, *ints)[1]
-        return frozenset(MDiagonal(*sorted((back(c.t), back(c.u)))) for c in connectors) - {da, db}
+        """Connector diagonals of a pair: the T_{1-m} connectors at cuts 0 and 1, mapped back.
+
+        Each connector of the pair lives on one contact or crossing, and
+        every one shows at one of the two cuts.
+        """
+        self._rank_of(da), self._rank_of(db)
+        out = set()
+        for s in (0, 1):
+            for c in _connectors_ints(1 - self.m, *self._lift(da, s), *self._lift(db, s))[1]:
+                t, u = self._lift(c.vertices, s)
+                out.add(MDiagonal(u, t))
+        return frozenset(out) - {da, db}
 
     # -- closure and enumeration ------------------------------------------------
 

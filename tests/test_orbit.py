@@ -7,6 +7,8 @@ from hypothesis import given, settings
 
 import sphtor as s
 from sphtor.closure import MAX_CLOSED_SETS, _closed_sets
+from sphtor.extensions import _connectors_ints
+from sphtor.hammocks import _ext_arc_nonzero_ints, _hom_nonzero_ints
 from sphtor.orbit import MAX_ROW_CELLS, _bits, _check_diagonal
 from sphtor import (
     IntervalObject,
@@ -25,8 +27,8 @@ from sphtor import (
 from conftest import plain_fixpoint, seeded_symmetric_rules, spy_row, symmetric_rules, table_row
 
 SMALL = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (1, 3)]
-# every pair of these is checked against the derived route; (1, 2) and (1, 3)
-# hold the three pairs whose lift to T_{1-m} has no cut free of contacts
+# every pair of these is checked against the derived route; (1, 2) is the
+# 2-gon, whose one diagonal extends itself
 SWEEP = [(n, m) for m in range(2, 7) for n in range(1, 9)]
 
 
@@ -157,6 +159,25 @@ def test_diagonal_rules_match_derived_route(n, m):
         assert bool(cat.ext_dim(b, a)) == cat.diagonal_ext_nonzero(db, da)
 
 
+@pytest.mark.parametrize("n,m", [(n, m) for n, m in SWEEP if n * m <= 12])
+def test_no_cut_over_reports(n, m):
+    # the invariant the two-cut rule rests on: opening the polygon at any edge
+    # can hide a contact but invents none, so Hom reads the same at every cut,
+    # and an Ext or a connector seen at some cut is one of the derived route
+    cat = OrbitCategory(n, m)
+    w = 1 - m
+    for a, b in itertools.product(cat.objects, repeat=2):
+        da, db = cat.to_diagonal(a), cat.to_diagonal(b)
+        allowed = {cat.to_diagonal(x) for x in cat.e_set(a, b)} | {da, db}
+        for cut in range(cat.N):
+            lifts = (*cat._lift(da, cut), *cat._lift(db, cut))
+            assert _hom_nonzero_ints(w, *lifts) == bool(cat.hom_dim(a, b)), (da, db, cut)
+            assert cat.ext_dim(b, a) or not _ext_arc_nonzero_ints(w, *lifts), (da, db, cut)
+            for c in _connectors_ints(w, *lifts)[1]:
+                t, u = cat._lift(c.vertices, cut)
+                assert MDiagonal(u, t) in allowed, (da, db, cut, c)
+
+
 @pytest.mark.parametrize("n,m", SMALL)
 def test_rigidity_and_ext_values(n, m):
     cat = OrbitCategory(n, m)
@@ -263,6 +284,15 @@ def test_params_mismatch_rejected():
         cat.hom_dim(IntervalObject(0, 1, 3), cat.objects[0])
     with pytest.raises(ParamsMismatch):
         cat.from_diagonal(MDiagonal(1, 3))
+    # the polygon relations answer for m-diagonals only; {1,3} and {2,4} are
+    # chords of the square but not 2-diagonals
+    with pytest.raises(ParamsMismatch):
+        cat.ptolemy(MDiagonal(1, 3), MDiagonal(2, 4))
+    with pytest.raises(ParamsMismatch):
+        cat.diagonal_ext_nonzero(MDiagonal(2, 4), MDiagonal(1, 3))
+    with pytest.raises(ParamsMismatch):
+        cat.diagonal_hom_nonzero(MDiagonal(1, 2), MDiagonal(1, 3))
+    assert cat.diagonals_cross(MDiagonal(1, 3), MDiagonal(2, 4))  # geometry on any chord
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 7) for m in range(2, 7)])
@@ -521,6 +551,33 @@ def test_theorem_b_past_subset_scan(n, m):
     extension_closed, ptolemy_closed = _closed_families(OrbitCategory(n, m))
     assert extension_closed == ptolemy_closed
     assert len(extension_closed) == FROZEN_TORSION_COUNTS[(n, m)]
+
+
+@pytest.mark.parametrize("n,m", sorted(FROZEN_TORSION_COUNTS))
+def test_window_lattice_at_two_cuts_lists_torsion_classes(n, m):
+    # a fourth Theorem B route, from the arc model alone: a set of m-diagonals
+    # is a torsion class exactly when its lifts at cuts 0 and 1 are both
+    # connector-closed sets of T_{1-m} arcs on [1, N]; it reads no Hom row,
+    # no e_set and no polygon relation
+    cat = OrbitCategory(n, m)
+    w = 1 - m
+    arcs = list(s.arcs_in_window(w, 1, cat.N))
+    index = {a.vertices: x for x, a in enumerate(arcs)}
+    table = [[0] * len(arcs) for _ in arcs]
+    for (x, a), (y, b) in itertools.product(enumerate(arcs), repeat=2):
+        for c in _connectors_ints(w, *a.vertices, *b.vertices)[1]:
+            table[x][y] |= 1 << index[c.vertices]
+    lattice = _closed_sets(len(arcs), table_row(table))
+    read = []
+    for cut in (0, 1):
+        rank = [cat._rank[MDiagonal(*reversed(cat._lift(a.vertices, cut)))] for a in arcs]
+        read.append({sum(1 << rank[x] for x in _bits(mask)) for mask in lattice})
+    classes = [sum(1 << cat._rank[d] for d in cls) for cls in cat.torsion_classes()]
+    assert sorted(read[0] & read[1]) == sorted(classes)
+    # one cut misses the contacts across its edge, so the lattice alone is
+    # larger, except on the 2-gon's one diagonal; at (3, 3), 1529 sets
+    assert len(lattice) > len(classes) or (n, m) == (1, 2)
+    assert (n, m) != (3, 3) or len(lattice) == 1529
 
 
 def _galois_closure(cat):
