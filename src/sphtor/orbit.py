@@ -13,12 +13,13 @@ T_{1-m} kernels read at two fixed cuts: the m-diagonals are the arcs on the
 line 1..N at weight w = 1 - m, ``_lift(d, s)`` places a diagonal on that line
 cut open at the polygon edge {s, s + 1}, and a cut hides only the contacts
 across its edge, so every contact of a pair shows at cut 0 or cut 1.  There
-is one index space: the objects are sorted by the diagonal each lies on, so
-object i lies on ``diagonals[i]``, the i-th diagonal in sorted order.  On
-objects, Hom is decided once per object: ``_row`` scans the objects by the
-derived rule and caches the targets as a bitmask over their indices; a
-closure or an enumeration is refused once its new rows pass
-``MAX_ROW_CELLS`` scanned cells.  The category is
+is one index space: the domain listed in (lo, degree, hi) order is in the
+order of the diagonals its objects lie on, so object i lies on
+``diagonals[i]``, the i-th diagonal in sorted order.  On objects, Hom is
+decided once per object: ``_row`` reads the rectangles of the derived rule as
+runs of indices and caches the targets as a bitmask over them; a closure or
+an enumeration is refused once its new rows pass ``MAX_ROW_CELLS`` cells,
+rows times objects.  The category is
 (1-m)-Calabi-Yau, its Serre functor is suspension^(1-m), and the suspension
 rotates diagonals by +1, so every other row is the row of a suspension: the
 sources of i are the targets of suspension^(m-1) i, and the j with
@@ -138,11 +139,11 @@ class OrbitCategory:
     """The orbit category at parameters (n, m), with its polygon model.
 
     Construction refuses more than ``MAX_OBJECTS`` objects with
-    :class:`TooLarge` before it builds any.  It enumerates the fundamental
-    domain, sorted by the diagonal each object lies on, and the
-    m-diagonals, sorted, so object i lies on ``diagonals[i]``; it raises
-    :class:`ValidationFailure` if that is not a bijection or not
-    rotation-equivariant.
+    :class:`TooLarge` before it builds any.  It lists the fundamental domain
+    in (lo, degree, hi) order, which is the order of the diagonals its
+    objects lie on, and the m-diagonals, sorted, so object i lies on
+    ``diagonals[i]``; it raises :class:`ValidationFailure` if that is not a
+    bijection or not rotation-equivariant.
     """
 
     def __init__(self, n: int, m: int):
@@ -153,9 +154,13 @@ class OrbitCategory:
         self.n = n
         self.m = m
         self.N = m * (n + 1) - 2
-        # object i lies on diagonal i: the objects sorted by their diagonals
-        placed = sorted((self._diagonal_formula(x), x) for x in self._domain())
-        self.objects: Tuple[IntervalObject, ...] = tuple(x for _, x in placed)
+        # (lo, degree, hi) order is the diagonal order: object i lies on diagonal i
+        self.objects: Tuple[IntervalObject, ...] = tuple(
+            IntervalObject(degree, lo, hi)
+            for lo in range(1, n + 1)
+            for degree in range(m)
+            for hi in range(lo, n if degree == m - 1 else n + 1)
+        )
         # the m-diagonals are the T_{1-m} arcs on the vertex line
         self.diagonals: Tuple[MDiagonal, ...] = tuple(
             sorted(MDiagonal(a.u, a.t) for a in arcs_in_window(1 - m, 1, self.N))
@@ -165,29 +170,20 @@ class OrbitCategory:
         self._rows: Dict[int, int] = {}
         self._row_start: Optional[int] = None  # rows cached when a budgeted call began
         self._frames: List[Optional[_Frame]] = [None] * len(self.objects)
-        self._validate([d for d, _ in placed])
+        self._validate([self._diagonal_formula(x) for x in self.objects])
 
     # -- construction ---------------------------------------------------------
 
-    def _domain(self) -> List[IntervalObject]:
-        out = []
-        for degree in range(self.m - 1):
-            for lo in range(1, self.n + 1):
-                for hi in range(lo, self.n + 1):
-                    out.append(IntervalObject(degree, lo, hi))
-        for lo in range(1, self.n + 1):
-            for hi in range(lo, self.n):
-                out.append(IntervalObject(self.m - 1, lo, hi))
-        return out
-
-    def _wrap(self, v: int) -> int:
-        return (v - 1) % self.N + 1
-
     def _diagonal_formula(self, x: IntervalObject) -> MDiagonal:
-        base = x.degree + self.m * (x.lo - 1)
-        i = self._wrap(1 + base)
-        j = self._wrap((x.hi - x.lo + 1) * self.m + base)
-        return MDiagonal(min(i, j), max(i, j))
+        """The diagonal of a domain object M[lo, hi]@d: {1 + d + m(lo - 1), d + m hi}.
+
+        No end wraps: i <= 1 + (m - 1) + m(n - 1) = mn <= N, j <= N (hi <= n
+        below degree m - 1, hi <= n - 1 at it), and j - i = m(hi - lo + 1) - 1
+        >= 1.  As 0 <= d <= m - 1, i grows with (lo, d) and then j with hi,
+        so the domain in (lo, degree, hi) order is in diagonal order, which
+        ``_validate`` checks.
+        """
+        return MDiagonal(1 + x.degree + self.m * (x.lo - 1), x.degree + self.m * x.hi)
 
     def _validate(self, formula: List[MDiagonal]) -> None:
         """The gates, given the diagonal ``_diagonal_formula`` puts each object on, in order."""
@@ -210,8 +206,16 @@ class OrbitCategory:
         return x.degree == self.m - 1 and x.hi <= self.n - 1
 
     def orbit_shift(self, x: IntervalObject, k: int = 1) -> IntervalObject:
-        """Apply the k-th power of the orbit functor in derived coordinates."""
-        for _ in range(abs(k)):
+        """Apply the k-th power of the orbit functor in derived coordinates.
+
+        On the derived category of A_n, translate^(n+1) = suspension^-2, so
+        F^(n+1) = suspension^N: whole multiples of n + 1 (k truncated toward
+        zero) are one suspension, and at most n steps remain.
+        """
+        q, steps = divmod(abs(k), self.n + 1)
+        if q:
+            x = db_suspend(x, self.N * q if k > 0 else -self.N * q)
+        for _ in range(steps):
             if k > 0:
                 x = db_suspend(db_translate(self.n, x), self.m)
             else:
@@ -219,7 +223,14 @@ class OrbitCategory:
         return x
 
     def normalize(self, x: IntervalObject) -> IntervalObject:
-        """Fundamental-domain representative of an arbitrary derived object."""
+        """Fundamental-domain representative of an arbitrary derived object.
+
+        Suspension^N is F^(n+1) (see ``orbit_shift``), so a degree outside
+        -1..N-2 is first taken into that range mod N, and the loop takes O(n)
+        steps whatever the degree.
+        """
+        if not -1 <= x.degree <= self.N - 2:
+            x = IntervalObject((x.degree + 1) % self.N - 1, x.lo, x.hi)
         while not self._in_domain(x):
             x = self.orbit_shift(x, -1 if x.degree >= self.m - 1 else 1)
         return x
@@ -246,12 +257,16 @@ class OrbitCategory:
 
         Orbit Hom is the derived Hom into the orbit-functor twists k = 0 and
         1 (the others vanish).  F is an autoequivalence of the derived
-        category, so Hom(a, F b) = Hom(F^-1 a, b), and one scan of
-        ``self.objects`` twists a alone.  Every other row is the row of a
-        suspension (see ``_frame``).  Cached; the only caller of
-        :func:`db_hom_dim`.  Inside ``_budgeted``, a scan that would take the
-        rows cached since it began past ``MAX_ROW_CELLS`` cells, rows times
-        objects, raises ``TooLarge``; point queries are not budgeted.
+        category, so Hom(a, F b) = Hom(F^-1 a, b), and the row is the targets
+        of x = a and x = F^-1 a by :func:`db_hom_dim`: the M[lo, hi]@d with
+        x.lo <= lo <= x.hi <= hi, and the M[lo, hi]@(d + 1) with lo <= x.lo - 1
+        <= hi <= x.hi - 1, d the degree of x.  In the domain's (lo, degree, hi)
+        order each rectangle is one run of indices per lo, cut at hi <= n - 1
+        in degree m - 1, so a row is at most 2n runs.  Every other row is the
+        row of a suspension (see ``_frame``).  Cached.  Inside ``_budgeted``,
+        a row that would take the rows cached since it began past
+        ``MAX_ROW_CELLS`` cells, rows times objects, raises ``TooLarge``;
+        point queries are not budgeted.
         """
         row = self._rows.get(i)
         if row is None:
@@ -262,12 +277,17 @@ class OrbitCategory:
                         f"refusing to scan more than {MAX_ROW_CELLS} Hom cells of "
                         f"C_{self.m}(A_{self.n}) in one call: {rows} rows of {k} objects"
                     )
-            a, n = self.objects[i], self.n
-            twist = self.orbit_shift(a, -1)
-            row = 0
-            for j, b in enumerate(self.objects):
-                if db_hom_dim(n, a, b) or db_hom_dim(n, twist, b):
-                    row |= 1 << j
+            row, a, n = 0, self.objects[i], self.n
+            for x in (a, self.orbit_shift(a, -1)):
+                # (degree, lo, first, last): the run of M[lo, hi]@degree, first <= hi <= last
+                runs = [(x.degree, lo, x.hi, n) for lo in range(x.lo, x.hi + 1)]
+                runs += [(x.degree + 1, lo, x.lo - 1, x.hi - 1) for lo in range(1, x.lo)]
+                for d, lo, first, last in runs:
+                    # None when degree d or M[lo, first]@d lies outside the domain
+                    start = self._index.get(IntervalObject(d, lo, first))
+                    if start is not None:
+                        top = min(last, n - 1 if d == self.m - 1 else n)
+                        row |= ((2 << top - first) - 1) << start
             self._rows[i] = row
         return row
 
@@ -378,6 +398,9 @@ class OrbitCategory:
 
     def from_diagonal(self, d: MDiagonal) -> IntervalObject:
         return self.objects[self._rank_of(d)]
+
+    def _wrap(self, v: int) -> int:
+        return (v - 1) % self.N + 1
 
     def rotate(self, d: MDiagonal, k: int) -> MDiagonal:
         i, j = self._wrap(d.i + k), self._wrap(d.j + k)

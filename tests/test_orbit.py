@@ -125,6 +125,80 @@ def test_bijection_equivariance(n, m):
         assert cat.to_diagonal(cat.serre(x)) == cat.rotate(d, 1 - m)
 
 
+def _diagonal_of(cat, x):
+    return MDiagonal(1 + x.degree + cat.m * (x.lo - 1), x.degree + cat.m * x.hi)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        # bijections onto the diagonals, in the wrong order
+        lambda cat, x: cat.rotate(_diagonal_of(cat, x), 1),
+        lambda cat, x: cat.diagonals[-1 - cat._index[x]],
+        # not injective: every interval onto the diagonal of its first simple
+        lambda cat, x: _diagonal_of(cat, x._replace(hi=x.lo)),
+    ],
+    ids=["rotated", "reversed", "not_injective"],
+)
+def test_a_wrong_diagonal_map_is_refused(monkeypatch, formula):
+    monkeypatch.setattr(OrbitCategory, "_diagonal_formula", formula)
+    with pytest.raises(ValidationFailure, match="not a bijection"):
+        OrbitCategory(3, 3)
+
+
+def test_a_suspension_that_does_not_rotate_is_refused(monkeypatch):
+    monkeypatch.setattr(OrbitCategory, "sigma", lambda cat, x: x)
+    with pytest.raises(ValidationFailure, match="suspension equivariance fails"):
+        OrbitCategory(3, 3)
+
+
+def _shift_by_steps(cat, x, k):
+    """The k-th power of the orbit functor, one step at a time: the reference."""
+    for _ in range(abs(k)):
+        if k > 0:
+            x = db_suspend(db_translate(cat.n, x), cat.m)
+        else:
+            x = db_translate_inv(cat.n, db_suspend(x, -cat.m))
+    return x
+
+
+def _normalize_by_steps(cat, x):
+    while not cat._in_domain(x):
+        x = _shift_by_steps(cat, x, -1 if x.degree >= cat.m - 1 else 1)
+    return x
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (3, 2), (2, 3), (4, 5), (5, 4)])
+def test_orbit_shift_and_normalize_match_the_steps(n, m):
+    # F^(n+1) = suspension^N: a period is one suspension, not n + 1 steps
+    cat = OrbitCategory(n, m)
+    period = n + 1
+    for lo in range(1, n + 1):
+        for hi in range(lo, n + 1):
+            for degree in range(-2 * cat.N - 1, 2 * cat.N + 2):
+                x = IntervalObject(degree, lo, hi)
+                assert cat.normalize(x) == _normalize_by_steps(cat, x)
+                for k in range(-2 * period - 1, 2 * period + 2):
+                    assert cat.orbit_shift(x, k) == _shift_by_steps(cat, x, k)
+
+
+def test_orbit_shift_and_normalize_are_fast_at_huge_values():
+    cat = OrbitCategory(3, 2)
+    x = cat.objects[1]
+    d = cat.to_diagonal(x)
+    start = time.process_time()
+    for k in (10**12, -(10**12), 4 * 10**12 + 3):
+        assert cat.normalize(cat.orbit_shift(x, k)) == x
+    for degree in (10**12, -(10**12)):
+        far = db_suspend(x, degree)
+        # suspension is rotation by +1 on diagonals
+        assert cat.to_diagonal(cat.normalize(far)) == cat.rotate(d, degree)
+        assert cat.to_diagonal(cat.sigma(far)) == cat.rotate(d, degree + 1)
+        assert cat.to_diagonal(cat.tau(far)) == cat.rotate(d, degree - cat.m)
+        assert cat.to_diagonal(cat.serre(far)) == cat.rotate(d, degree + 1 - cat.m)
+    assert time.process_time() - start < 0.1
+
+
 @pytest.mark.parametrize("n,m", SMALL)
 def test_orbit_functor_window_vanishing(n, m):
     cat = OrbitCategory(n, m)
@@ -446,6 +520,41 @@ def test_row_budget_is_charged_per_call():
     # the closure scans the one row left, and the rows cached before it cost it nothing
     assert cat.closure(seed) == OrbitCategory(46, 2).closure(seed)
     assert len(cat._rows) == len(cat.objects)
+
+
+def _derived_scan(cat, i):
+    """The targets of object i by the derived rule over the twists k = 0, 1: the reference row."""
+    a = cat.objects[i]
+    twist = cat.orbit_shift(a, -1)
+    return sum(
+        1 << j
+        for j, b in enumerate(cat.objects)
+        if db_hom_dim(cat.n, a, b) or db_hom_dim(cat.n, twist, b)
+    )
+
+
+@pytest.mark.parametrize(
+    "n,m,sample",
+    [(n, m, None) for n, m in sorted(set(SWEEP) | set(FROZEN_TORSION_COUNTS))]
+    + [(20, 20, 30), (40, 3, 30), (60, 3, 30)],
+)
+def test_rows_are_the_derived_scan(n, m, sample):
+    # every row of the small categories, and seeded rows past 2000 objects
+    cat = OrbitCategory(n, m)
+    k = len(cat.objects)
+    rows = range(k) if sample is None else random.Random(k).sample(range(k), sample)
+    for i in rows:
+        assert cat._row(i) == _derived_scan(cat, i), cat.objects[i]
+
+
+def test_rows_cost_runs_not_objects():
+    # 62 500 objects: a derived scan of 20 rows takes about 0.7 s (2-CPU host)
+    cat = OrbitCategory(250, 2)
+    rows = random.Random(0).sample(range(len(cat.objects)), 20)
+    start = time.process_time()
+    for i in rows:
+        cat._row(i)
+    assert time.process_time() - start < 0.3
 
 
 @pytest.mark.parametrize("n,m", SWEEP)
