@@ -92,8 +92,10 @@ def arc(w: int, x: int, y: int) -> Arc:
 
 
 def require_same_weight(a: Arc, b: Arc) -> int:
+    """The weight of an arc pair, checked: ``WeightMismatch``, then ``WeightHasNoArcModel``."""
     if a.w != b.w:
         raise WeightMismatch(f"arcs {a} and {b} carry different weights {a.w} != {b.w}")
+    translation_step(a.w)
     return a.w
 
 
@@ -153,8 +155,7 @@ def from_coord(w: int, c: QuiverCoord) -> Arc:
 
 def component(a: Arc) -> int:
     """Index of the ZA-infinity component containing the arc (mod |d|)."""
-    d = translation_step(a.w)
-    return to_coord(a).shift % abs(d)
+    return to_coord(a).shift % abs(a.w - 1)
 
 
 class RelationKind(Enum):

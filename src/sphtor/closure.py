@@ -51,8 +51,8 @@ from .extensions import _both_middles, _connectors_ints
 from .hammocks import _hom_marks_ints
 
 DEFAULT_WINDOW = 40
-# caps the number of sets listed (all 2^16 subsets of 16 objects), not their memory:
-# a mask takes k/8 bytes, so the (250, 2) refusal, k = 62 500, peaks near 570 MB
+# caps the number of sets listed (all 2^16 subsets of 16 objects); past 16 members,
+# 17 members whose subsets are all closed refuse before a set is listed
 MAX_CLOSED_SETS = 1 << 16
 MAX_VERDICT_PAIRS = 1 << 20  # pair budget of both verdict scans and of every finite closure
 _MAX_CLOSED_ARCS = (isqrt(8 * MAX_VERDICT_PAIRS + 1) - 1) // 2  # most A with A(A+1)/2 in budget
@@ -86,6 +86,23 @@ def _close(seed: Iterable[int], row: _Row, k: int) -> int:
     return _grow(0, sum(1 << x for x in set(seed)), row, (1 << k) - 1)
 
 
+def _has_free_set(k: int, row: _Row, size: int) -> bool:
+    """Whether a walk of ``range(k)`` in index order keeps ``size`` members.
+
+    It keeps x when ``row(x, p)`` adds nothing to p, for p = {x} and for
+    p = {x, j} with every kept j.  The rule on each pair of kept members then
+    stays in the pair, so every subset of them is closed: 2^size sets.
+    """
+    kept: List[int] = []
+    for x in range(k):
+        pairs = [1 << x] + [1 << x | 1 << j for j in kept]
+        if not any(row(x, p) & ~p for p in pairs):
+            kept.append(x)
+            if len(kept) == size:
+                return True
+    return False
+
+
 def _closed_sets(k: int, row: _Row) -> List[int]:
     """Every subset of ``range(k)`` closed under ``row``, as bitmasks in lectic order.
 
@@ -109,8 +126,15 @@ def _closed_sets(k: int, row: _Row) -> List[int]:
     descends, which only tries indices above i, so laziness loses none of
     FCbO's pruning.  ``failed`` is a dict copied on descent, so a copy
     costs the failures, not k.
-    Raises ``TooLarge`` rather than list more than ``MAX_CLOSED_SETS``.
+    Raises ``TooLarge`` rather than list more than ``MAX_CLOSED_SETS``.  Past
+    16 members, ``_has_free_set`` first looks for 17 members whose subsets
+    are all closed, 2^17 sets, and refuses before any set is listed if it
+    finds them.
     """
+    refusal = f"refusing to list more than {MAX_CLOSED_SETS} closed sets"
+    size = MAX_CLOSED_SETS.bit_length()
+    if k >= size and _has_free_set(k, row, size):
+        raise TooLarge(refusal)
     full = (1 << k) - 1
     out = [0]
     stack: List[Tuple[int, int, Dict[int, int]]] = []
@@ -131,7 +155,7 @@ def _closed_sets(k: int, row: _Row) -> List[int]:
                     failed[i] = child
                     continue
             if len(out) == MAX_CLOSED_SETS:
-                raise TooLarge(f"refusing to list more than {MAX_CLOSED_SETS} closed sets")
+                raise TooLarge(refusal)
             out.append(child)
             above = ~child & full & -(bit << 1)
             if above:
@@ -290,7 +314,6 @@ class DescriptorSet:
         arcs_in: Iterable[Arc] = (),
         fountains: Iterable[FountainDescriptor] = (),
     ):
-        translation_step(w)
         fset = set()
         for f in fountains:
             if not is_admissible(w, f.vertex, f.start):
@@ -389,7 +412,6 @@ def is_contravariantly_finite(ds: DescriptorSet) -> bool:
     same vertex; for w <= 0 every left fountain needs a matching right one.
     Finite sets pass vacuously.
     """
-    translation_step(ds.w)
     return _unmatched_fountain(ds) is None
 
 

@@ -12,8 +12,8 @@ The pair answers come from two integer kernels on endpoints:
 ``_middles_ints`` (the middles, from the hammock side that
 ``hammocks._side_ints`` decides, Ext test included).
 The arc closures call them once per pair; ``ptolemy_arcs``, ``e_set`` and
-``middle_terms`` are thin wrappers that check the weight and shape the
-result.
+``middle_terms`` are thin wrappers: one call, ``arcs.require_same_weight``,
+checks the pair, and they shape the result.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .arcs import (
     require_same_weight,
     suspend,
     to_coord,
-    translation_step,
 )
 from .errors import NoExtension, NonOrthogonalInput, NotInHammock
 from .hammocks import (
@@ -145,7 +144,6 @@ def middle_terms(a: Arc, b: Arc) -> List[ExtensionClass]:
     zero-middle one tied to the identity map.
     """
     w = require_same_weight(a, b)
-    translation_step(w)
     side, middles = _middles_ints(w, a.t, a.u, b.t, b.u)
     if side is None:
         return []
@@ -161,7 +159,6 @@ def middle_terms(a: Arc, b: Arc) -> List[ExtensionClass]:
 def e_set(a: Arc, b: Arc) -> frozenset:
     """Middle summands of extensions in both directions, minus the pair itself."""
     w = require_same_weight(a, b)
-    translation_step(w)
     return frozenset(_both_middles(w, a, b)).difference((a, b))
 
 
@@ -169,7 +166,6 @@ def ptolemy_arcs(a: Arc, b: Arc) -> PtolemyArcs:
     """Connector arcs of a pair: class I (crossing), II (neighbouring, w <= 0),
     III (adjacent, w = 0; a = b allowed), each filtered by admissibility."""
     w = require_same_weight(a, b)
-    translation_step(w)
     k, found = _connectors_ints(w, a.t, a.u, b.t, b.u)
     classes = [frozenset()] * 3
     classes[k] = frozenset(found)
@@ -184,7 +180,7 @@ def middle_cohomology(a: Arc, b: Arc, side: HammockSide) -> CohomologyVector:
     triangle and its middle has no cohomology at all.
     """
     w = require_same_weight(a, b)
-    d = translation_step(w)
+    d = w - 1
     if ext_dim(b, a) == 0:
         raise NoExtension(f"Ext^1({b},{a}) = 0 at w={w}")
     if side is HammockSide.BOTH_W0_SIGMA_A:
@@ -324,6 +320,5 @@ def _check_orthogonal(arcs_list: Sequence[Arc]) -> None:
 
 
 def _sorted_by_exray(a: Arc, arcs_list: Sequence[Arc]) -> List[Arc]:
-    d = translation_step(a.w)
-    sign = 1 if d > 0 else -1
+    sign = 1 if a.w >= 2 else -1
     return sorted(arcs_list, key=lambda b: sign * _key_vertex(b, _side_for_order(a, b)))

@@ -19,7 +19,6 @@ from .arcs import (
     require_same_weight,
     suspend,
     to_coord,
-    translation_step,
 )
 from .errors import NoExtension
 
@@ -105,7 +104,6 @@ def _ext_nonzero_ints(w: int, at: int, au: int, bt: int, bu: int) -> bool:
 def hom_dim(a: Arc, b: Arc) -> int:
     """dim Hom(a, b); one-dimensional on the hammocks, two only at w=0, b=a."""
     w = require_same_weight(a, b)
-    translation_step(w)
     if w == 0 and a == b:
         return 2
     return int(_hom_nonzero_ints(w, a.t, a.u, b.t, b.u))
@@ -121,15 +119,15 @@ def in_forward_ext(a: Arc, b: Arc) -> bool:
 
     Arithmetic membership: one endpoint of b sits on the interior progression
     of a (congruence plus range) and the other clears the forward threshold.
+    The pair is checked as by every pair function: one weight, not 1.
     """
-    translation_step(a.w)
-    return _forward_ext_ints(a.w, a.t, a.u, b.t, b.u)
+    w = require_same_weight(a, b)
+    return _forward_ext_ints(w, a.t, a.u, b.t, b.u)
 
 
 def hammock_side(b: Arc, a: Arc) -> HammockSide:
     """Locate a non-rigid pair inside the Ext-hammock of ``a``."""
     w = require_same_weight(a, b)
-    translation_step(w)
     side = _side_ints(w, a.t, a.u, b.t, b.u)
     if side is None:
         raise NoExtension(f"Ext^1({b},{a}) = 0 at w={w}")
@@ -219,7 +217,6 @@ def ext_dim_arc(b: Arc, a: Arc) -> int:
     with loops restricted to the neighbouring and shared-start ones.
     """
     w = require_same_weight(a, b)
-    translation_step(w)
     if not _ext_arc_nonzero_ints(w, a.t, a.u, b.t, b.u):
         return 0
     return 2 if w == 0 and b == suspend(a) else 1
@@ -285,6 +282,5 @@ def cohomology(a: Arc) -> CohomologyVector:
     The absolute normalization is the package gauge (only relative degrees
     are forced), chosen so an unsuspended mouth object sits in degree 0.
     """
-    d = translation_step(a.w)
-    c = to_coord(a)
+    c, d = to_coord(a), a.w - 1
     return CohomologyVector({-c.shift - level * d: 1 for level in range(c.level + 1)})

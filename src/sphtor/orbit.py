@@ -399,11 +399,8 @@ class OrbitCategory:
     def from_diagonal(self, d: MDiagonal) -> IntervalObject:
         return self.objects[self._rank_of(d)]
 
-    def _wrap(self, v: int) -> int:
-        return (v - 1) % self.N + 1
-
     def rotate(self, d: MDiagonal, k: int) -> MDiagonal:
-        i, j = self._wrap(d.i + k), self._wrap(d.j + k)
+        i, j = (d.i + k - 1) % self.N + 1, (d.j + k - 1) % self.N + 1
         return MDiagonal(min(i, j), max(i, j))
 
     def _lift(self, d: Tuple[int, int], s: int) -> Tuple[int, int]:
@@ -506,9 +503,14 @@ class OrbitCategory:
         over tuples built per class, took two to three times as long at (2, 6)
         and (4, 3) (2-CPU host).
         Past 2^16 classes, or ``MAX_ROW_CELLS`` Hom cells not cached before
-        the call, it raises ``TooLarge``.  The rows read only the frames of
-        objects the enumeration reaches, so the Hom rows scanned before
-        ``TooLarge`` follow the sets visited, not the object count.
+        the call, it raises ``TooLarge``.  Past 16 objects a walk runs first
+        (``closure._has_free_set``): it takes objects in index order whose
+        pairs have no middle term outside the pair, and refuses at 17 of
+        them, whose 2^17 subsets are all torsion classes, before FCbO lists
+        any.  At (20, 20), (60, 3) and (100, 12) the first 17 objects
+        qualify, so the refusal reads their frames, 68 Hom rows; at
+        (250, 2) those rows pass ``MAX_ROW_CELLS``.  The rows read only the
+        frames of objects the walk or the enumeration reaches, not all k.
         """
         masks = self._budgeted(_closed_sets, len(self.objects), self._e_row)
         tables = []

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sphtor
 from sphtor import (
     Arc,
+    HammockSide,
     InvalidArc,
     RelationKind,
     WeightHasNoArcModel,
@@ -54,6 +56,39 @@ def test_weight_one_has_no_arcs():
         is_admissible(1, 0, 2)
     with pytest.raises(WeightHasNoArcModel):
         arc(1, 0, 2)
+
+
+PAIR_FUNCTIONS = {
+    name: getattr(sphtor, name)
+    for name in (
+        "hom_dim",
+        "ext_dim",
+        "ext_dim_arc",
+        "hammock_side",
+        "in_forward_ext",
+        "middle_terms",
+        "e_set",
+        "ptolemy_arcs",
+        "relation",
+    )
+}
+PAIR_FUNCTIONS["middle_cohomology"] = lambda a, b: sphtor.middle_cohomology(a, b, HammockSide.FORWARD)
+PAIR_FUNCTIONS["middle_term_multi"] = lambda a, b: sphtor.middle_term_multi(a, [b])
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FUNCTIONS))
+def test_every_pair_function_checks_the_pair(name):
+    # one rule for a pair: both arcs share a weight, and that weight is not 1
+    fn = PAIR_FUNCTIONS[name]
+    for a, b in ((arc(2, 0, 3), arc(3, 0, 3)), (arc(3, 0, 3), arc(2, 0, 3))):
+        with pytest.raises(WeightMismatch):
+            fn(a, b)
+    # raw construction skips the weight check that arc() makes
+    with pytest.raises(WeightHasNoArcModel):
+        fn(Arc(0, 3, 1), Arc(0, 3, 1))
+    # a mismatch is reported before the weight 1 of the first arc
+    with pytest.raises(WeightMismatch):
+        fn(Arc(0, 3, 1), arc(2, 0, 3))
 
 
 def test_invalid_arc_rejected():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -412,3 +415,27 @@ def test_every_leaf_subcommand_has_a_handler():
     assert ("orbit", "enumerate") in leaves and ("t1", "hom") in leaves
     for path, parser in leaves.items():
         assert callable(parser.get_default("handler")), path
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("hom", "--w", "2", "--a", "0,3", "--b", "1,4"), 0),
+        (("hom", "--w", "1", "--a", "0,1", "--b", "0,2"), 2),
+        (("hom", "--w", "2", "--a", "0,3"), 64),
+    ],
+    ids=["answer", "domain_error", "missing_option"],
+)
+def test_module_entry_point_exits_with_the_run_code(capsys, argv, code):
+    # python -m sphtor.cli runs main(), which exits with the code of run()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "sphtor.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == code, result.stderr
+    assert (code, result.stdout) == invoke(capsys, *argv)[:2]

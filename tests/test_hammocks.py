@@ -162,3 +162,8 @@ def test_cohomology_vector_algebra():
     # a mapping only: degree, dimension pairs are not read
     with pytest.raises(AttributeError):
         CohomologyVector([(0, 1), (0, 2)])
+
+
+def test_cohomology_vector_repr_evaluates_back():
+    for v in (CohomologyVector(), cohomology(arc(2, 0, 3)), CohomologyVector({-3: 2, 5: 1})):
+        assert eval(repr(v), {"CohomologyVector": CohomologyVector}) == v

@@ -4,9 +4,10 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphtor as s
-from sphtor.closure import MAX_CLOSED_SETS, _closed_sets
+from sphtor.closure import MAX_CLOSED_SETS, _closed_sets, _has_free_set
 from sphtor.extensions import _connectors_ints
 from sphtor.hammocks import _ext_arc_nonzero_ints, _hom_nonzero_ints
 from sphtor.orbit import MAX_ROW_CELLS, _bits, _check_diagonal
@@ -149,6 +150,12 @@ def test_a_wrong_diagonal_map_is_refused(monkeypatch, formula):
 def test_a_suspension_that_does_not_rotate_is_refused(monkeypatch):
     monkeypatch.setattr(OrbitCategory, "sigma", lambda cat, x: x)
     with pytest.raises(ValidationFailure, match="suspension equivariance fails"):
+        OrbitCategory(3, 3)
+
+
+def test_a_translate_that_does_not_rotate_is_refused(monkeypatch):
+    monkeypatch.setattr(OrbitCategory, "tau", lambda cat, x: x)
+    with pytest.raises(ValidationFailure, match="translate equivariance fails"):
         OrbitCategory(3, 3)
 
 
@@ -468,14 +475,41 @@ def test_closed_sets_refuse_past_the_cap():
         _closed_sets(17, nothing)
 
 
+@given(symmetric_rules(max_k=8), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_a_free_set_is_a_count_of_closed_sets(case, size):
+    # every subset of the members the walk keeps is closed
+    k, table = case
+    if _has_free_set(k, table_row(table), size):
+        assert len(list(_next_closure(k, table))) >= 2**size
+
+
 def test_enumeration_guard():
     # (1, 18) has 17 indecomposables and every subset is closed
     with pytest.raises(TooLarge, match=str(MAX_CLOSED_SETS)):
         OrbitCategory(1, 18).torsion_classes()
 
 
+@pytest.mark.parametrize(
+    "n,m,limit",
+    [(20, 20, MAX_CLOSED_SETS), (60, 3, MAX_CLOSED_SETS), (100, 12, MAX_CLOSED_SETS),
+     (250, 2, MAX_ROW_CELLS)],
+)
+def test_a_free_set_refuses_before_any_listing(n, m, limit):
+    # the first 17 objects have no middle term outside any of their pairs, so
+    # all 2^17 of their subsets are torsion classes: the walk reads the four
+    # rows of each frame, 68 rows, and at (250, 2) 68 rows pass the row budget
+    cat = OrbitCategory(n, m)
+    start = time.process_time()
+    with pytest.raises(TooLarge, match=str(limit)):
+        cat.torsion_classes()
+    assert time.process_time() - start < 0.5
+    assert len(cat._rows) == (67 if limit == MAX_ROW_CELLS else 68)
+
+
 def test_enumeration_guard_work_follows_sets_visited():
-    # 4180 objects: Hom rows of every object would take 4180 scans of all of them
+    # 4180 objects: Hom rows of every object would take 4180 scans of all of
+    # them; the free-set walk refuses after 68
     cat = OrbitCategory(20, 20)
     scans = []
     row = cat._row

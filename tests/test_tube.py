@@ -126,3 +126,22 @@ def test_extension_families_refuse_past_their_budget(shift):
 def test_descriptor_rejects_non_object_tubes(tubes):
     with pytest.raises(ValueError, match="tubes"):
         T1Descriptor.from_json_dict({"w": 1, "pattern": "explicit", "tubes": tubes})
+
+
+def test_negative_levels_are_refused():
+    for a, b in ((TubeObject(0, -1), TubeObject(0, 0)), (TubeObject(0, 0), TubeObject(1, -1))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            t1_hom_dim(a, b)
+    for r, target in ((-1, TubeObject(0, 0)), (0, TubeObject(1, -1))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            t1_extensions(r, target)
+
+
+def test_unknown_or_incomplete_patterns_are_refused():
+    with pytest.raises(ValueError, match="unknown pattern"):
+        T1Descriptor.from_json_dict({"w": 1, "pattern": "lower"})
+    # built by hand, a descriptor skips the document checks
+    with pytest.raises(ValueError, match="requires n"):
+        t1_classify(T1Descriptor("upper"))
+    with pytest.raises(ValueError, match="unknown pattern"):
+        t1_classify(T1Descriptor("lower"))
