@@ -28,14 +28,15 @@ Infinite subcategories are presented by :class:`DescriptorSet` (finite arcs
 plus partial-fountain generators).  ``is_torsion_class`` decides them
 exactly by a pair check on a bounded instantiation, and reports the perp
 sample of a torsion class by marking the members' Hom-hammocks on the window
-(``hammocks._hom_marks_ints``), one pass per member, not one test per window
-arc and member.  Both scans share one budget, an upper bound on their work
-counted from the window's admissible arcs.  ``symbolic_closure`` needs no
-pair check: it closes the members on span ± M(w) to C, and the closed arcs
-inside the span with the fountains instantiate there to a subset of C that
-holds the members, so that set is closed exactly when it is C.  A closure
-that needs arcs past the span or new fountains has no descriptor set, and
-it raises ``TooLarge``.
+per start vertex (``hammocks._hom_marks_ints``), one pass per member, not
+one test per window arc and member, and then walking each start's free
+levels, so only the sample's arcs are built.  Both scans share one budget,
+an upper bound on their work counted from the window's admissible arcs.
+``symbolic_closure`` needs no pair check: it closes the members on
+span ± M(w) to C, and the closed arcs inside the span with the fountains
+instantiate there to a subset of C that holds the members, so that set is
+closed exactly when it is C.  A closure that needs arcs past the span or new
+fountains has no descriptor set, and it raises ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from enum import Enum
 from math import isqrt
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .arcs import Arc, arc, arcs_in_window, is_admissible, translation_step
+from .arcs import Arc, arc, is_admissible, translation_step
 from .errors import InvalidArc, TooLarge, WeightMismatch, _json_int
 from .extensions import _both_middles, _connectors_ints
 from .hammocks import _hom_marks_ints
@@ -490,10 +491,10 @@ def _closedness_witness(ds: DescriptorSet, lo: int, hi: int):
     # the connector rule is symmetric, so the first ordered hit has a <= b
     for i, a in enumerate(ordered):
         for b in ordered[i:]:
-            missing = [m for m in _connectors_ints(ds.w, a.t, a.u, b.t, b.u)[1] if m not in present]
-            if missing:
-                # the least, so the witness depends on the inputs alone
-                return (a, b), min(missing)
+            found = _connectors_ints(ds.w, a.t, a.u, b.t, b.u)[1]
+            if found and not present.issuperset(found):
+                # the least missing, so the witness depends on the inputs alone
+                return (a, b), min(m for m in found if m not in present)
     return None, None
 
 
@@ -544,16 +545,26 @@ def _perp_sample(w: int, generators: Iterable[Arc], lo: int, hi: int) -> Tuple[A
 
     The generators are the members within M(w) of the window
     (:func:`_closedness_margin`).  Their Hom-hammocks are marked on the
-    window first, one pass per generator over its columns, so each window
-    arc costs one lookup.
+    window first, per start vertex, one pass per generator over its columns.
+    Each start t then walks only its free levels, the unmarked ones whose
+    end lies in [lo, hi], so only the returned arcs are built.  The bit of
+    level j has bit length j + 1, the arc (t, t + 1 + (j+1)·d).  The ends
+    grow with the level when d > 0 and shrink when d < 0, so the bits are
+    read from the low one up or from the top one down, and the arcs come
+    out sorted.
     """
     d = w - 1
     marks = _hom_marks_ints(w, ((x.t, x.u) for x in generators), lo, hi)
-    return tuple(
-        b
-        for b in arcs_in_window(w, lo, hi)
-        if not marks[b.u - lo] >> ((b.u - b.t - 1) // d - 1) & 1
-    )
+    out = []
+    # the starts whose shortest arc, (t, t + w), ends in [lo, hi]
+    for t in range(lo, hi - w + 1) if d > 0 else range(lo - w, hi + 1):
+        top = ((hi if d > 0 else lo) - t - 1) // d - 1  # the highest level ending in [lo, hi]
+        free = ~marks[t - lo] & ((2 << top) - 1)
+        while free:
+            bit = free & -free if d > 0 else 1 << free.bit_length() - 1
+            free ^= bit
+            out.append(Arc(t, t + 1 + bit.bit_length() * d, w))
+    return tuple(out)
 
 
 def is_torsion_class(ds: DescriptorSet, window: int = DEFAULT_WINDOW) -> TorsionReport:
@@ -569,8 +580,8 @@ def is_torsion_class(ds: DescriptorSet, window: int = DEFAULT_WINDOW) -> Torsion
     M(w) of it exceed ``MAX_VERDICT_PAIRS`` raises ``TooLarge``.  That count
     is an upper bound for both scans, not their cost: the pair check on the
     window pairs members that are window arcs, and the perp sample walks each
-    member's hammocks over the window's columns, then looks each window arc
-    up once.
+    member's hammocks over the window's columns, then builds only the window
+    arcs it returns.
     """
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")

@@ -66,33 +66,38 @@ def _hom_nonzero_ints(w: int, at: int, au: int, bt: int, bu: int) -> bool:
 def _hom_marks_ints(w: int, sources: Iterable[Tuple[int, int]], lo: int, hi: int) -> List[int]:
     """The window targets of the Hom-hammocks of ``sources``, one pass per source.
 
-    Entry u - lo is a bitmask over the levels of the arcs ending at u in
-    [lo, hi]: bit j is set iff some source (t, u) maps nonzero to the arc at
-    end u and level j, by the same coordinates as :func:`_hom_nonzero_ints`.
-    The forward hammock of a source x of level j_x marks the levels
-    [n, j_x + n] at end x.u + n·d (n >= 0); the backward one marks every
-    level >= j_x - n at end x.u - w - n·d (0 <= n <= j_x), a mask with all
-    high bits set.  Each walk starts where it enters [lo, hi], since a
-    source may lie far outside it.
+    Entry t - lo is a bitmask over the levels j of the arcs
+    (t, t + 1 + (j+1)·d) starting at t in [lo, hi]: bit j is set iff some
+    source maps nonzero to that arc, by the same coordinates as
+    :func:`_hom_nonzero_ints`.  The forward hammock of a source (t, u) of
+    level j_x marks every level >= j_x - k at start t + k·d (0 <= k <= j_x),
+    a mask with all high bits set; the backward one marks the levels
+    [s - 1 - j_x, s - 1] at start u - w - 1 - s·d (s > j_x).  No arc inside
+    [lo, hi] has a level above hi - lo, so bits past it may be left unset.
+    Each walk starts where it enters [lo, hi] and stops once its lowest
+    level passes hi - lo, since a source may lie far outside the window or
+    span it at a far level.
     """
     d = w - 1
-    marks = [0] * (hi - lo + 1)
+    top = hi - lo
+    marks = [0] * (top + 1)
     for t, u in sources:
         j = (u - t - 1) // d - 1
-        # forward: ends u + n·d, from the first one inside [lo, hi]
-        n = max(0, -((u - (lo if d > 0 else hi)) // d))
-        band = (1 << (j + 1)) - 1
-        for end in range(u + n * d, hi + 1 if d > 0 else lo - 1, d):
-            marks[end - lo] |= band << n
-            n += 1
-        # backward: ends u - w - n·d for n <= j, from the first one inside
-        first = u - w
-        n = max(0, -((first - (hi if d > 0 else lo)) // -d))
-        stop = first - (j + 1) * d
+        # forward: starts t + k·d for j - top <= k <= j, from the first one inside [lo, hi]
+        k = max(0, j - top, -((t - (lo if d > 0 else hi)) // d))
+        stop = t + (j + 1) * d
+        stop = min(stop, hi + 1) if d > 0 else max(stop, lo - 1)
+        for start in range(t + k * d, stop, d):
+            marks[start - lo] |= -1 << (j - k)
+            k += 1
+        # backward: starts u - w - 1 - s·d for j < s <= j + 1 + top, from the first one inside
+        first = u - w - 1
+        s = max(j + 1, -((first - (hi if d > 0 else lo)) // -d))
+        stop = first - (j + 2 + top) * d
         stop = max(stop, lo - 1) if d > 0 else min(stop, hi + 1)
-        for end in range(first - n * d, stop, -d):
-            marks[end - lo] |= -1 << (j - n)
-            n += 1
+        for start in range(first - s * d, stop, -d):
+            marks[start - lo] |= (1 << min(s, top + 1)) - (1 << (s - 1 - j))
+            s += 1
     return marks
 
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -122,7 +123,27 @@ def test_hom_marks_match_hom_kernel(w):
     for x in arcs_in_window(w, lo - reach, hi + reach):
         marks = _hom_marks_ints(w, [(x.t, x.u)], lo, hi)
         for b in targets:
-            marked = bool(marks[b.u - lo] >> ((b.u - b.t - 1) // d - 1) & 1)
+            marked = bool(marks[b.t - lo] >> ((b.u - b.t - 1) // d - 1) & 1)
+            assert marked == _hom_nonzero_ints(w, x.t, x.u, b.t, b.u), (x, b)
+
+
+@pytest.mark.parametrize("w", [2, -2])
+def test_hom_marks_cost_the_window_not_the_source(w):
+    # arcs 10^6 long across and beside [-5, 5], and short ones 10^6 away
+    lo, hi = -5, 5
+    length = 10**6 + (w < 0)  # admissible at w = 2 and at w = -2
+    sources = [arc(w, x, x + length) for x in (-length - 1, -length, -length // 2, 0, 1)]
+    sources += [arc(w, x, x + 2) for x in (-(10**6), 10**6)]
+    targets = list(arcs_in_window(w, lo, hi))
+    d = w - 1
+    for x in sources:
+        start = time.perf_counter()
+        marks = _hom_marks_ints(w, [(x.t, x.u)], lo, hi)
+        assert time.perf_counter() - start < 1.0, x
+        # no mark holds a bit past the highest level a window arc can have
+        assert max(m.bit_length() for m in marks) <= hi - lo + 1, x
+        for b in targets:
+            marked = bool(marks[b.t - lo] >> ((b.u - b.t - 1) // d - 1) & 1)
             assert marked == _hom_nonzero_ints(w, x.t, x.u, b.t, b.u), (x, b)
 
 
